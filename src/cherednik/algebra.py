@@ -38,9 +38,6 @@ class CherednikParameter:
     def c_of(self, reflection):
         return self.c[reflection.refl_class]
 
-    def with_t(self, t):
-        return CherednikParameter(self.group, self.ring, t, self.c)
-
     def map_values(self, ring, fn):
         return CherednikParameter(self.group, ring, fn(self.t),
                                   [fn(v) for v in self.c])
@@ -184,6 +181,40 @@ def _is_negative_rational(s: Scalar):
         nz = [c for c in s.payload if c != 0]
         return bool(nz) and all(c < 0 for c in nz)
     return False
+
+
+def commutator_telescope(group: ReflectionGroup, s, i, mu) -> MultiPoly:
+    """The x-polynomial P_s(i, mu), in n variables over the group field, with
+
+        [y_i, x^mu] = t mu_i x^(mu - e_i) + sum_s c(s) P_s(i, mu) s:
+
+    the telescoping sum over coordinates j of (y_i, x_j)_s times
+    x_1^mu_1 .. x_{j-1}^mu_{j-1}, times sum_l x_j^l (s x_j)^(mu_j - 1 - l),
+    times the s-image of x_{j+1}^mu_{j+1} .. x_n^mu_n."""
+    spec, n = group.spec, group.n
+    imgs = group.variable_images(s.element, "V")
+    total = MultiPoly.zero(spec, n)
+    for j in range(n):
+        mj = mu[j]
+        if mj == 0:
+            continue
+        pij = s.pairing(i, j)
+        if pij.is_zero():
+            continue
+        start = tuple(mu[a] if a < j else 0 for a in range(n))
+        start_poly = MultiPoly(spec, n, {start: spec.one()})
+        mid = MultiPoly.zero(spec, n)
+        powers = [MultiPoly.constant(spec, n, spec.one())]
+        for _ in range(mj - 1):
+            powers.append(powers[-1] * imgs[j])
+        for l in range(mj):
+            e = tuple(l if a == j else 0 for a in range(n))
+            mono = MultiPoly(spec, n, {e: spec.one()})
+            mid = mid + mono * powers[mj - l - 1]
+        tail = tuple(mu[a] if a > j else 0 for a in range(n))
+        tail_img = MultiPoly(spec, n, {tail: spec.one()}).substitute(imgs)
+        total = total + (start_poly * mid * tail_img).scale(pij)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -410,53 +441,21 @@ class CherednikAlgebra:
         [y_i, x^mu], with the parameter factor c(s) included."""
         key = (i, mu)
         hit = self._comm.get(key)
-        if hit is not None:
-            return hit
-        out = {}
-        for s in self.group.reflections:
-            cs = self.par.c_of(s)
-            if cs.is_zero():
-                continue
-            pair = self._pairings[s.element]
-            total = MultiPoly.zero(self.ring, self.nvars)
-            for j in range(self.n):
-                mj = mu[j]
-                if mj == 0:
+        if hit is None:
+            hit = {}
+            pad = (0,) * self.n
+            for s in self.group.reflections:
+                cs = self.par.c_of(s)
+                if cs.is_zero():
                     continue
-                pij = pair[i][j]
-                if pij.is_zero():
-                    continue
-                # x_1^{mu_1} .. x_{j-1}^{mu_{j-1}}
-                start = [0] * self.nvars
-                for a in range(j):
-                    start[a] = mu[a]
-                start = tuple(start)
-                # telescoping middle factor
-                sxj = self._act_x_mono(s.element,
-                                       tuple(1 if a == j else 0
-                                             for a in range(self.n)))
-                mid = MultiPoly.zero(self.ring, self.nvars)
-                sx_pow = self._const(1)
-                pows = []
-                for _ in range(mj):
-                    pows.append(sx_pow)
-                    sx_pow = sx_pow * sxj
-                for l in range(mj):
-                    e = [0] * self.nvars
-                    e[j] = l
-                    mono = MultiPoly(self.ring, self.nvars,
-                                     {tuple(e): self.ring.one()})
-                    mid = mid + mono * pows[mj - l - 1]
-                # s-image of the tail x_{j+1}^{...} .. x_n^{...}
-                tail = tuple(mu[a] if a > j else 0 for a in range(self.n))
-                stail = self._act_x_mono(s.element, tail)
-                contrib = mid.mul_term(start, pij) * stail
-                total = total + contrib
-            total = total.scale(cs)
-            if not total.is_zero():
-                out[s.element] = total
-        self._comm[key] = out
-        return out
+                poly = commutator_telescope(self.group, s, i, mu)
+                poly = MultiPoly(self.ring, self.nvars,
+                                 {e + pad: self.ring.embed(c) * cs
+                                  for e, c in poly.terms.items()})
+                if not poly.is_zero():
+                    hit[s.element] = poly
+            self._comm[key] = hit
+        return hit
 
     def commutator_y_xpow(self, i, mu, include_t=True) -> PBWElement:
         """PBW form of [y_i, x^mu]."""

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from .linalg import ExactMatrix
 from .multipoly import MultiPoly, buchberger, normal_form, standard_monomials
-from .scalars import QQ, FieldError, PolyRing, Scalar, cyclotomic_field, \
-    parse_scalar
+from .scalars import QQ, FieldError, PolyRing, Scalar, as_integer, \
+    cyclotomic_field, parse_scalar
 
 
 class GroupDataError(Exception):
@@ -70,21 +70,10 @@ def mat_sub_identity(spec, a):
 
 
 def mat_det(spec, a):
+    """Cofactor expansion along the first row."""
     n = len(a)
     if n == 1:
         return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if n == 3:
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    m = ExactMatrix(spec, n, n,
-                    {(i, j): a[i][j] for i in range(n) for j in range(n)})
-    r, pivots = m.rref()
-    if len(pivots) < n:
-        return spec.zero()
-    # rref loses the determinant; expand instead for the (rare) n > 3 case
     det = spec.zero()
     for j in range(n):
         minor = tuple(row[:j] + row[j + 1:] for row in a[1:])
@@ -234,7 +223,7 @@ class CoinvariantAlgebra:
         self.n = group.n
         invs = group.fundamental_invariants(side)
         self.invariants = invs
-        self.groebner = buchberger(invs, "lex")
+        self.groebner = buchberger(invs)
         self.monomials = standard_monomials(self.groebner)
         self.index = {e: i for i, e in enumerate(self.monomials)}
         self.dim = len(self.monomials)
@@ -302,6 +291,7 @@ class ReflectionGroup:
         self._invariants = {}
         self._coinvariants = {}
         self._dual_mats = None
+        self._x_tables = None  # filled by modules.x_tables
         self.irreps = []
         if irrep_data:
             for label, mats in irrep_data:
@@ -681,8 +671,7 @@ class ReflectionGroup:
             s = self.spec.zero()
             for ci, cls in enumerate(self.conj_classes):
                 s = s + row[ci] * chi[ci] * sizes[ci]
-            m = _as_integer(s, self.order)
-            coeffs.append(m)
+            coeffs.append(as_integer(s, self.order))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return coeffs
@@ -719,24 +708,6 @@ class ReflectionGroup:
                     "_", ",") == norm:
                 return rho
         raise GroupDataError(f"no irrep labeled {label}")
-
-
-def _as_integer(s: Scalar, divisor: int) -> int:
-    """Exact value of s / divisor as a Python int (errors otherwise)."""
-    v = s / divisor
-    payload = v.payload
-    spec = v.spec
-    if spec.kind == "rationals":
-        q = payload
-    elif spec.kind == "number-field":
-        if any(c != 0 for c in payload[1:]):
-            raise GroupDataError("character inner product is not rational")
-        q = payload[0]
-    else:
-        raise GroupDataError("unexpected spec in character arithmetic")
-    if q.denominator != 1:
-        raise GroupDataError("character inner product is not integral")
-    return int(q)
 
 
 def _monomials_of_degree(n, d):

@@ -11,17 +11,16 @@ wrong answers impossible."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CherednikParameter
+from .algebra import CherednikParameter, ParameterError
 from .groups import ReflectionGroup
 from .linalg import ExactMatrix
 from .meataxe import FpModule, MeatAxeRetry, chop, is_irreducible, \
     is_isomorphic, radical
-from .modules import GradedModule, Quotient, _Echelon, graded_spin, \
-    quotient_module, verma_module
+from .modules import GradedModule, _Echelon, graded_spin, \
+    is_invariant_subspace, quotient_module, verma_module
 from .restricted import bad_primes, is_potentially_integral
 from .scalars import FieldError, Scalar, minpoly_roots_mod_p, \
     reduce_mod_prime
@@ -39,6 +38,10 @@ class LiftFailure(Exception):
 
 NO_SUBMODULE = "no-submodule"
 NOT_LINEARLY_SOLVABLE = "not-linearly-solvable"
+
+# linear blocks of the submodule search with more equations than this are
+# put off until nothing smaller makes progress
+_BLOCK_CAP = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +132,10 @@ def _primes_in(lo, hi):
 
 
 def draw_specialization(group: ReflectionGroup, par: CherednikParameter,
-                        dim: int, rng: random.Random,
-                        p_exclude=()) -> FiniteFieldSpec:
+                        dim: int, rng: random.Random) -> FiniteFieldSpec:
     """Prime from (dim, 10 dim) splitting the base field and avoiding the
     bad set; u over small-height integers, kept potentially integral."""
-    bad = bad_primes(group) | set(p_exclude)
+    bad = bad_primes(group)
     K = group.spec
     candidates = []
     for p in _primes_in(max(dim, 3), 10 * max(dim, 3) + 20):
@@ -438,7 +440,7 @@ def _solve_linear_block(equations, ring):
 
 
 def find_submodule(module: GradedModule, struct: AbstractStructure,
-                   gen_names=None, size_cap=4000):
+                   gen_names=None):
     """Search for a graded submodule whose canonical matrix has the given
     shape, by cascading through the linear strata of the invariance
     equations.  Returns the canonical basis matrix, or one of the string
@@ -514,7 +516,7 @@ def find_submodule(module: GradedModule, struct: AbstractStructure,
                             frontier.add(k)
             if not chosen:
                 continue
-            if len(chosen) > size_cap:
+            if len(chosen) > _BLOCK_CAP:
                 skip.add(q)
                 continue
             subsystem = [lin_eqs[pos] for pos in sorted(chosen)]
@@ -557,7 +559,7 @@ def find_submodule(module: GradedModule, struct: AbstractStructure,
                                 comp_vars.add(k)
                                 frontier.append(k)
                 seen_eq |= comp_eqs
-                if len(comp_eqs) > size_cap:
+                if len(comp_eqs) > _BLOCK_CAP:
                     continue
                 bad, determined = _solve_linear_block(
                     [lin_eqs[pos] for pos in sorted(comp_eqs)], ring)
@@ -590,32 +592,27 @@ def find_submodule(module: GradedModule, struct: AbstractStructure,
     ech = _Echelon(ring)
     for col in out.columns():
         ech.insert(col)
-    if ech.rank() != struct.ncols:
+    found = ech.matrix(module.dim)
+    if found.ncols != struct.ncols \
+            or not is_invariant_subspace(module, found):
         return NOT_LINEARLY_SOLVABLE
-    for m in module.mats:
-        for col in out.columns():
-            if not ech.contains(m.apply_to(col)):
-                return NOT_LINEARLY_SOLVABLE
-    return ech.matrix(module.dim)
+    return found
 
 
 # ---------------------------------------------------------------------------
 # heads, radicals, decomposition matrices
 
 class HeadResult:
-    __slots__ = ("radical_basis", "head", "head_fp", "simple_already",
-                 "spec")
+    __slots__ = ("radical_basis", "head", "head_fp")
 
-    def __init__(self, radical_basis, head, head_fp, simple_already, spec):
+    def __init__(self, radical_basis, head, head_fp):
         self.radical_basis = radical_basis
         self.head = head
         self.head_fp = head_fp
-        self.simple_already = simple_already
-        self.spec = spec
 
 
-def head_and_radical(module: GradedModule, ff: FiniteFieldSpec,
-                     gen_names, rng, retries=3) -> HeadResult:
+def head_and_radical(module: GradedModule, ff: FiniteFieldSpec, rng,
+                     retries=3) -> HeadResult:
     """Radical and simple head of a module expected to have simple head."""
     mbar = specialize_module(module, ff)
     try:
@@ -624,11 +621,11 @@ def head_and_radical(module: GradedModule, ff: FiniteFieldSpec,
         raise LiftFailure(str(exc))
     if irr:
         zero = ExactMatrix(module.spec, module.dim, 0)
-        return HeadResult(zero, module, mbar, True, ff)
+        return HeadResult(zero, module, mbar)
     try:
         rad = radical(mbar, rng)
         struct = abstract_structure(rad)
-        found = find_submodule(module, struct, gen_names)
+        found = find_submodule(module, struct)
         if isinstance(found, str):
             raise LiftFailure(f"submodule search: {found}")
         quo = quotient_module(module, found)
@@ -636,7 +633,7 @@ def head_and_radical(module: GradedModule, ff: FiniteFieldSpec,
         irr2, _ = is_irreducible(qbar, rng)
         if not irr2:
             raise LiftFailure("lifted quotient is not simple downstairs")
-        return HeadResult(found, quo.module, qbar, False, ff)
+        return HeadResult(found, quo.module, qbar)
     except (LiftFailure, MeatAxeRetry) as exc:
         if retries <= 0:
             raise LiftFailure(str(exc))
@@ -653,45 +650,47 @@ def head_and_radical(module: GradedModule, ff: FiniteFieldSpec,
             sub = graded_spin(module, [v])
             if 0 < sub.ncols < module.dim:
                 quo = quotient_module(module, sub)
-                inner = head_and_radical(quo.module, ff, gen_names, rng,
-                                         retries - 1)
+                inner = head_and_radical(quo.module, ff, rng, retries - 1)
                 lifted = quo.lift(inner.radical_basis.columns())
                 total = graded_spin(module, sub.columns() + lifted)
-                return HeadResult(total, inner.head, inner.head_fp, False,
-                                  ff)
+                return HeadResult(total, inner.head, inner.head_fp)
         raise LiftFailure(str(exc))
 
 
 class FamilyDecomposition:
-    __slots__ = ("members", "heads", "matrix", "spec", "verma_dims")
+    __slots__ = ("members", "heads", "matrix", "spec")
 
-    def __init__(self, members, heads, matrix, spec, verma_dims):
+    def __init__(self, members, heads, matrix, spec):
         self.members = list(members)
         self.heads = heads          # {member: HeadResult}
         self.matrix = matrix        # {(row member, col member): int}
         self.spec = spec
-        self.verma_dims = verma_dims
+
+
+# specializations drawn per family before decompose_family gives up
+_MAX_DRAWS = 5
 
 
 def decompose_family(group: ReflectionGroup, par: CherednikParameter,
-                     members, rng, gen_names=None, p_exclude=(),
-                     max_draws=5, vermas=None) -> FamilyDecomposition:
+                     members, rng, vermas=None) -> FamilyDecomposition:
     """Heads and the decomposition matrix of a constituent-closed family of
-    standard modules (1-based irrep indices)."""
-    vermas = vermas or {}
+    standard modules (1-based irrep indices), from at most five
+    specializations.  Vermas built here are added to ``vermas``; the prime
+    window depends on this family's Verma dimensions only."""
+    if vermas is None:
+        vermas = {}
     for lam in members:
         if lam not in vermas:
             vermas[lam] = verma_module(group, par,
                                        group.irreps[lam - 1])
-    maxdim = max(v.dim for v in vermas.values())
+    maxdim = max(vermas[lam].dim for lam in members)
     last = None
-    for _ in range(max_draws):
-        ff = draw_specialization(group, par, maxdim, rng, p_exclude)
+    for _ in range(_MAX_DRAWS):
+        ff = draw_specialization(group, par, maxdim, rng)
         try:
             heads = {}
             for lam in members:
-                heads[lam] = head_and_radical(vermas[lam], ff, gen_names,
-                                              rng)
+                heads[lam] = head_and_radical(vermas[lam], ff, rng)
             # all heads must be pairwise non-isomorphic downstairs
             for a in members:
                 for b in members:
@@ -716,29 +715,33 @@ def decompose_family(group: ReflectionGroup, par: CherednikParameter,
                     raise LiftFailure("dimension audit failed")
                 for mu in members:
                     matrix[(lam, mu)] = row[mu]
-            return FamilyDecomposition(
-                members, heads, matrix, ff,
-                {lam: vermas[lam].dim for lam in members})
+            return FamilyDecomposition(members, heads, matrix, ff)
         except (LiftFailure, SpecializationError, MeatAxeRetry) as exc:
             last = exc
             continue
     raise LiftFailure(f"family {members}: no success within "
-                      f"{max_draws} draws ({last})")
+                      f"{_MAX_DRAWS} draws ({last})")
 
 
 def gordon(group: ReflectionGroup, par: CherednikParameter,
-           hyperplane_text="", families=None, gen_names=None, seed=0,
-           p_exclude=(), max_draws=5):
+           hyperplane_text="", families=None, seed=0):
     """Heads, Poincare series, graded G-structure, decomposition matrices,
     and the block partition, per Euler family.
 
     families: optional 1-based index tuple selecting one Euler family;
-    otherwise every family is processed.  Deterministic given the seed.
-    Raises LiftFailure naming the families that did not complete."""
+    otherwise every family is processed, and the record also carries the
+    full decomposition matrix and the CM families.  Each family gets at
+    most five specializations; the submodule search uses the y's first.
+    Deterministic given the seed.  Raises ParameterError when the
+    parameter ring is not a field, and LiftFailure naming the families
+    that did not complete."""
     from .modules import graded_character
     from .records import GordonRecord, family_text, poly_in_t
     from .algebra import euler_families as _euler_families
 
+    if not par.ring.is_field:
+        raise ParameterError(f"parameters over {par.ring} are not a field; "
+                             "use a point or a one-variable function field")
     rng = random.Random(seed)
     fams = sorted(_euler_families(group, par), key=lambda t: min(t[0]))
     record = GordonRecord(group.name, hyperplane_text, seed)
@@ -760,10 +763,7 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
     all_rows = {}
     for members in run_list:
         try:
-            fam = decompose_family(group, par, members, rng,
-                                   gen_names=gen_names,
-                                   p_exclude=p_exclude,
-                                   max_draws=max_draws, vermas=vermas)
+            fam = decompose_family(group, par, members, rng, vermas=vermas)
         except (LiftFailure, SpecializationError) as exc:
             failures.append((members, str(exc)))
             continue

@@ -167,24 +167,6 @@ class ExactMatrix:
         out.entries = {(j, i): v for (i, j), v in self.entries.items()}
         return out
 
-    def stack_vertical(self, other):
-        if self.ncols != other.ncols:
-            raise FieldError("column count mismatch")
-        out = ExactMatrix(self.spec, self.nrows + other.nrows, self.ncols,
-                          dict(self.entries))
-        for (i, j), v in other.entries.items():
-            out.entries[(i + self.nrows, j)] = v
-        return out
-
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise FieldError("row count mismatch")
-        out = ExactMatrix(self.spec, self.nrows, self.ncols + other.ncols,
-                          dict(self.entries))
-        for (i, j), v in other.entries.items():
-            out.entries[(i, j + self.ncols)] = v
-        return out
-
     # -- echelon machinery ---------------------------------------------------
     def _row_list(self):
         rows = [dict() for _ in range(self.nrows)]
@@ -240,10 +222,6 @@ class ExactMatrix:
         """The unique reduced column echelon form (pivot rows topmost)."""
         r, _ = self.transpose().rref()
         return r.transpose()
-
-    def rcef_pivots(self):
-        r, piv = self.transpose().rref()
-        return r.transpose(), piv  # piv[j] = pivot row of column j
 
     def nullspace(self):
         """rcef basis of the right kernel {v : M v = 0}."""

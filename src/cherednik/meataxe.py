@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 
+from .scalars import _pdivmod, _pgcd, _pmod, _pmul, _ppowmod, _psub, _ptrim
+
 
 class MeatAxeRetry(Exception):
     """Random search exhausted; retry with a fresh seed or prime."""
@@ -75,10 +77,6 @@ def rref_mod(a, p):
     return a, pivots
 
 
-def rank_mod(a, p):
-    return len(rref_mod(a, p)[1])
-
-
 def nullspace_mod(a, p):
     """Columns spanning {v : a v = 0}, in canonical echelon form."""
     a = np.asarray(a, dtype=np.int64)
@@ -127,62 +125,7 @@ def solve_mod(a, b, p):
 
 
 # ---------------------------------------------------------------------------
-# polynomials mod p (dense coefficient lists, low degree first)
-
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
-def _pdivmod(f, g, p):
-    f = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    inv = pow(g[-1], -1, p)
-    for k in range(len(f) - len(g), -1, -1):
-        c = f[k + len(g) - 1] * inv % p
-        if c:
-            q[k] = c
-            for j, b in enumerate(g):
-                f[k + j] = (f[k + j] - c * b) % p
-    return _ptrim(q), _ptrim(f)
-
-
-def _pgcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _pdivmod(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = [c * inv % p for c in f]
-    return f
-
-
-def _pmod(f, g, p):
-    return _pdivmod(f, g, p)[1]
-
-
-def _ppowmod(f, e, g, p):
-    out = [1]
-    base = _pmod(f, g, p)
-    while e:
-        if e & 1:
-            out = _pmod(_pmul(out, base, p), g, p)
-        base = _pmod(_pmul(base, base, p), g, p)
-        e >>= 1
-    return out
-
+# polynomials mod p (the kernel lives in scalars)
 
 def _pderiv(f, p):
     return _ptrim([(i * c) % p for i, c in enumerate(f)][1:])
@@ -210,9 +153,7 @@ def factor_squarefree_part(f, p):
     deg = 1
     while len(rest) - 1 >= 2 * deg:
         h = _ppowmod(h, p, rest, p)
-        diff = _ptrim([(a - b) % p for a, b in
-                       zip(h + [0] * len(x), x + [0] * len(h))])
-        g = _pgcd(rest, diff, p)
+        g = _pgcd(rest, _psub(h, x, p), p)
         if len(g) > 1:
             out.extend(_equal_degree_split(g, deg, p))
             rest = _pdivmod(rest, g, p)[0]
@@ -236,11 +177,8 @@ def _equal_degree_split(f, d, p, rng=None):
             return _equal_degree_split(g, d, p, rng) \
                 + _equal_degree_split(_pdivmod(f, g, p)[0], d, p, rng)
         e = (p ** d - 1) // 2
-        w = _ppowmod(r, e, f, p)
-        w = _ptrim([(c - (1 if i == 0 else 0)) % p
-                    for i, c in enumerate(w)])
-        g = _pgcd(f, w, p) if w else []
-        if g and 1 < len(g) < len(f):
+        g = _pgcd(f, _psub(_ppowmod(r, e, f, p), [1], p), p)
+        if 1 < len(g) < len(f):
             return _equal_degree_split(g, d, p, rng) \
                 + _equal_degree_split(_pdivmod(f, g, p)[0], d, p, rng)
 
@@ -419,7 +357,7 @@ def _random_algebra_element(module: FpModule, rng):
     return out
 
 
-def is_irreducible(module: FpModule, rng=None, tries=60):
+def is_irreducible(module: FpModule, rng=None):
     """(True, None) with an irreducibility certificate implicit, or
     (False, basis of a proper nonzero submodule)."""
     rng = rng or random.Random(0)
@@ -429,7 +367,7 @@ def is_irreducible(module: FpModule, rng=None, tries=60):
         raise ValueError("zero module")
     if n == 1:
         return True, None
-    for _ in range(tries):
+    for _ in range(60):
         a = _random_algebra_element(module, rng)
         m = minimal_polynomial(a, p)
         if len(m) <= 1:

@@ -2,22 +2,21 @@
 of the restricted rational Cherednik algebra.
 
 A module stores one sparse action matrix per generator together with basis
-and generator degrees; nonzero entries must connect degrees compatibly.
-Verma modules are assembled from the coinvariant algebra on the polynomial
-side: multiplication for the x's, the twisted group action for the g's, and
-cached lowering tables for the y's (rows independent of both the
-representation and the parameter, so they are built once per group)."""
+and generator degrees; every construction checks that nonzero entries
+connect degrees compatibly.  Verma modules are assembled from the
+coinvariant algebra on the polynomial side: multiplication for the x's, the
+twisted group action for the g's, and lowering tables for the y's, which
+reduce the algebra's commutator formula (``algebra.commutator_telescope``)
+into the coinvariant algebra.  The table rows are independent of both the
+representation and the parameter, so they are built once per group."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import CherednikParameter
+from .algebra import CherednikParameter, commutator_telescope
 from .groups import Irrep, ReflectionGroup
 from .linalg import ExactMatrix
-from .multipoly import MultiPoly
-from .scalars import FieldError, NumberField, PolyRing, PrimeField, \
-    QQ, RationalFunctionField, Scalar, parse_scalar
+from .scalars import NumberField, PolyRing, PrimeField, QQ, \
+    RationalFunctionField, as_integer, parse_scalar
 
 
 class ModuleError(Exception):
@@ -28,8 +27,7 @@ class GradedModule:
     __slots__ = ("spec", "dim", "degrees", "gen_names", "gen_degrees",
                  "mats", "_by_degree")
 
-    def __init__(self, spec, degrees, gen_names, gen_degrees, mats,
-                 validate=True):
+    def __init__(self, spec, degrees, gen_names, gen_degrees, mats):
         self.spec = spec
         self.dim = len(degrees)
         self.degrees = list(degrees)
@@ -37,8 +35,7 @@ class GradedModule:
         self.gen_degrees = list(gen_degrees)
         self.mats = list(mats)
         self._by_degree = None
-        if validate:
-            self.check_grading()
+        self.check_grading()
 
     def check_grading(self):
         for k, m in enumerate(self.mats):
@@ -77,50 +74,21 @@ class GradedModule:
 def x_tables(group: ReflectionGroup):
     """Per (coordinate i, reflection s): sparse matrix over the base field
     with row mu listing the coinvariant coefficients of the group-part
-    factor of y_i acting on the monomial x^mu."""
-    cached = getattr(group, "_x_tables", None)
-    if cached is not None:
-        return cached
-    co = group.coinvariant_algebra("V")
-    spec = group.spec
-    n = group.n
-    tables = {}
-    for s in group.reflections:
-        # images of the variables under s on the polynomial side
-        imgs = group.variable_images(s.element, "V")
-        for i in range(n):
-            rows = {}
-            for mu_idx, mu in enumerate(co.monomials):
-                total = MultiPoly.zero(spec, n)
-                for t in range(n):
-                    mt = mu[t]
-                    if mt == 0:
-                        continue
-                    pij = s.pairing(i, t)
-                    if pij.is_zero():
-                        continue
-                    start = tuple(mu[a] if a < t else 0 for a in range(n))
-                    start_poly = MultiPoly(spec, n, {start: spec.one()})
-                    mid = MultiPoly.zero(spec, n)
-                    powers = [MultiPoly.constant(spec, n, spec.one())]
-                    for _ in range(mt - 1):
-                        powers.append(powers[-1] * imgs[t])
-                    for l in range(mt):
-                        e = tuple(l if a == t else 0 for a in range(n))
-                        mono = MultiPoly(spec, n, {e: spec.one()})
-                        mid = mid + mono * powers[mt - l - 1]
-                    tail = tuple(mu[a] if a > t else 0 for a in range(n))
-                    tail_img = MultiPoly(spec, n,
-                                         {tail: spec.one()}).substitute(imgs)
-                    total = total + (start_poly * mid * tail_img).scale(pij)
-                if total.is_zero():
-                    continue
-                row = co.nf_coeffs(total)
-                if row:
-                    rows[mu_idx] = row
-            tables[(i, s.element)] = rows
-    group._x_tables = tables
-    return tables
+    factor of y_i acting on the monomial x^mu (``commutator_telescope``),
+    built once per group."""
+    if group._x_tables is None:
+        co = group.coinvariant_algebra("V")
+        tables = {}
+        for s in group.reflections:
+            for i in range(group.n):
+                rows = {}
+                for mu_idx, mu in enumerate(co.monomials):
+                    row = co.nf_coeffs(commutator_telescope(group, s, i, mu))
+                    if row:
+                        rows[mu_idx] = row
+                tables[(i, s.element)] = rows
+        group._x_tables = tables
+    return group._x_tables
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +293,15 @@ class Quotient:
         self.module = module
         self.kept_rows = kept_rows
         self.sub_basis = sub_basis
-        self._pivot_of = None
+        pivots = {min(col): col for col in sub_basis.columns()}
+        self._pivot_of = [(p, pivots[p]) for p in sorted(pivots)]
 
     def project(self, v):
         """Coordinates of the image of a vector of the big module."""
-        pivots = {}
-        for j, col in enumerate(self.sub_basis.columns()):
-            pivots[min(col)] = col
         v = dict(v)
-        for p in sorted(pivots):
+        for p, col in self._pivot_of:
             if p in v:
-                v = _vec_sub_scaled(v, pivots[p], v[p])
+                v = _vec_sub_scaled(v, col, v[p])
         pos = {r: i for i, r in enumerate(self.kept_rows)}
         return {pos[i]: c for i, c in v.items() if not c.is_zero()}
 
@@ -372,35 +338,6 @@ def quotient_module(module: GradedModule, sub: ExactMatrix) -> Quotient:
     q.module = GradedModule(module.spec, degrees, module.gen_names,
                             module.gen_degrees, mats)
     return q
-
-
-def submodule_restriction(module: GradedModule, sub: ExactMatrix) \
-        -> GradedModule:
-    """Action induced on an invariant subspace in its canonical basis."""
-    cols = sub.columns()
-    pivots = [min(c) for c in cols]
-    degrees = [module.degrees[p] for p in pivots]
-    mats = []
-    for m in module.mats:
-        mm = ExactMatrix(module.spec, len(cols), len(cols))
-        for j, c in enumerate(cols):
-            w = m.apply_to(c)
-            # coordinates against the canonical basis: read pivot rows
-            for i, p in enumerate(pivots):
-                v = w.get(p)
-                if v is not None and not v.is_zero():
-                    mm.entries[(i, j)] = v
-            # consistency: the residual must vanish
-            resid = dict(w)
-            for i, p in enumerate(pivots):
-                v = w.get(p)
-                if v is not None:
-                    resid = _vec_sub_scaled(resid, cols[i], v)
-            if resid:
-                raise ModuleError("subspace is not invariant")
-        mats.append(mm)
-    return GradedModule(module.spec, degrees, module.gen_names,
-                        module.gen_degrees, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -457,45 +394,11 @@ def graded_character(group: ReflectionGroup, module: GradedModule):
             for ci, cls in enumerate(group.conj_classes):
                 inv_cls = group.class_of[group.inverse[cls[0]]]
                 s = s + traces[ci] * spec.embed(chi[inv_cls]) * sizes[ci]
-            m = _scalar_to_int(s, group.order)
+            m = as_integer(s, group.order)
             if m:
                 row[dgr] = m
         out.append(row)
     return out
-
-
-def _scalar_to_int(s: Scalar, divisor: int) -> int:
-    q = _as_rational(s) / divisor
-    if q.denominator != 1:
-        raise ModuleError("character multiplicity is not integral "
-                          "(inconsistent module)")
-    return int(q)
-
-
-def _as_rational(s: Scalar) -> Fraction:
-    spec = s.spec
-    p = s.payload
-    if spec.kind == "rationals":
-        return p
-    if spec.kind == "number-field":
-        if any(c != 0 for c in p[1:]):
-            raise ModuleError("non-rational scalar in character arithmetic")
-        return p[0]
-    if spec.kind == "poly-ring":
-        if not p:
-            return Fraction(0)
-        if len(p) == 1 and not any(p[0][0]):
-            return _as_rational(Scalar(spec.base, p[0][1]))
-        raise ModuleError("non-constant scalar in character arithmetic")
-    if spec.kind == "rational-function-field":
-        num, den = p
-        if len(num) <= 1 and len(den) == 1:
-            if not num:
-                return Fraction(0)
-            return _as_rational(Scalar(spec.base, num[0])) \
-                / _as_rational(Scalar(spec.base, den[0]))
-        raise ModuleError("non-constant scalar in character arithmetic")
-    raise ModuleError(f"unexpected spec {spec.kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,26 +6,16 @@ from __future__ import annotations
 from .scalars import FieldError, Scalar
 
 
-def lex_key(exp):
-    return exp
-
-
-def degrevlex_key(exp):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
-_ORDER_KEYS = {"lex": lex_key, "degrevlex": degrevlex_key}
-
-
 class MultiPoly:
-    """Sparse polynomial: exponent tuple -> nonzero Scalar coefficient."""
+    """Sparse polynomial: exponent tuple -> nonzero Scalar coefficient.
 
-    __slots__ = ("spec", "nvars", "terms", "order")
+    Monomials are ordered lexicographically by exponent tuple."""
 
-    def __init__(self, spec, nvars, terms=None, order="lex"):
+    __slots__ = ("spec", "nvars", "terms")
+
+    def __init__(self, spec, nvars, terms=None):
         self.spec = spec
         self.nvars = nvars
-        self.order = order
         self.terms = {}
         if terms:
             for e, c in terms.items():
@@ -36,25 +26,19 @@ class MultiPoly:
 
     # -- construction --------------------------------------------------------
     @classmethod
-    def zero(cls, spec, nvars, order="lex"):
-        return cls(spec, nvars, None, order)
+    def zero(cls, spec, nvars):
+        return cls(spec, nvars)
 
     @classmethod
-    def constant(cls, spec, nvars, c, order="lex"):
+    def constant(cls, spec, nvars, c):
         if not isinstance(c, Scalar):
             c = spec.scalar(c)
         if c.is_zero():
-            return cls.zero(spec, nvars, order)
-        return cls(spec, nvars, {(0,) * nvars: c}, order)
-
-    @classmethod
-    def variable(cls, spec, nvars, i, order="lex"):
-        e = [0] * nvars
-        e[i] = 1
-        return cls(spec, nvars, {tuple(e): spec.one()}, order)
+            return cls.zero(spec, nvars)
+        return cls(spec, nvars, {(0,) * nvars: c})
 
     def _like(self, terms):
-        p = MultiPoly(self.spec, self.nvars, None, self.order)
+        p = MultiPoly(self.spec, self.nvars)
         p.terms = terms
         return p
 
@@ -128,13 +112,8 @@ class MultiPoly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def leading(self):
-        key = _ORDER_KEYS[self.order]
-        e = max(self.terms, key=key)
+        e = max(self.terms)
         return e, self.terms[e]
 
     def monic(self):
@@ -147,9 +126,7 @@ class MultiPoly:
         return self._like({e: v * inv for e, v in self.terms.items()})
 
     def sorted_terms(self):
-        key = _ORDER_KEYS[self.order]
-        return sorted(self.terms.items(), key=lambda t: key(t[0]),
-                      reverse=True)
+        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     def __repr__(self):
         return self.format(tuple(f"x{i+1}" for i in range(self.nvars)))
@@ -178,10 +155,9 @@ class MultiPoly:
 
     def substitute(self, images):
         """Substitute variable i -> images[i] (MultiPolys over the spec)."""
-        out = MultiPoly.zero(self.spec, images[0].nvars, self.order)
+        out = MultiPoly.zero(self.spec, images[0].nvars)
         for e, c in self.terms.items():
-            term = MultiPoly.constant(self.spec, images[0].nvars, c,
-                                      self.order)
+            term = MultiPoly.constant(self.spec, images[0].nvars, c)
             for i, k in enumerate(e):
                 for _ in range(k):
                     term = term * images[i]
@@ -205,12 +181,11 @@ def reduce_poly(f: MultiPoly, basis) -> MultiPoly:
     """Full multivariate division remainder of f by the list basis."""
     if not basis:
         return f
-    key = _ORDER_KEYS[f.order]
     leads = [(g.leading()[0], g) for g in basis if not g.is_zero()]
     rem = {}
     work = dict(f.terms)
     while work:
-        e = max(work, key=key)
+        e = max(work)
         c = work.pop(e)
         hit = None
         for le, g in leads:
@@ -247,11 +222,10 @@ def s_polynomial(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 class GroebnerBasis:
-    __slots__ = ("polys", "order", "spec", "nvars")
+    __slots__ = ("polys", "spec", "nvars")
 
-    def __init__(self, polys, order):
+    def __init__(self, polys):
         self.polys = list(polys)
-        self.order = order
         self.spec = polys[0].spec if polys else None
         self.nvars = polys[0].nvars if polys else 0
 
@@ -265,14 +239,11 @@ class GroebnerBasis:
         return len(self.polys)
 
 
-def buchberger(gens, order="lex") -> GroebnerBasis:
-    """Reduced Groebner basis, with the product and chain criteria."""
+def buchberger(gens) -> GroebnerBasis:
+    """Reduced lex Groebner basis, with the product and chain criteria."""
     basis = [g.monic() for g in gens if not g.is_zero()]
-    for g in basis:
-        if g.order != order:
-            raise FieldError("generator monomial order mismatch")
     if not basis:
-        return GroebnerBasis([], order)
+        return GroebnerBasis([])
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
     while pairs:
@@ -319,9 +290,8 @@ def buchberger(gens, order="lex") -> GroebnerBasis:
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         reduced.append(reduce_poly(g, others).monic())
-    key = _ORDER_KEYS[order]
-    reduced.sort(key=lambda g: key(g.leading()[0]))
-    return GroebnerBasis(reduced, order)
+    reduced.sort(key=lambda g: g.leading()[0])
+    return GroebnerBasis(reduced)
 
 
 def normal_form(f: MultiPoly, gb: GroebnerBasis) -> MultiPoly:

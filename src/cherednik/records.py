@@ -60,16 +60,11 @@ class GordonRecord:
                     raise ValueError(
                         f"Poincare series of simple {i} does not evaluate "
                         "to its dimension")
-        rows = {}
-        for (i, j), m in self.verma_decomposition.items():
-            rows.setdefault(i, {})[j] = m
-        for i, row in rows.items():
-            if all(j in self.simple_dims for j in row):
-                # the Verma dimension is the weighted sum of head dims
-                pass
         return True
 
     def verma_dim_audit(self, verma_dims):
+        """Each Verma dimension is the weighted sum of its constituents'
+        simple dimensions."""
         rows = {}
         for (i, j), m in self.verma_decomposition.items():
             rows.setdefault(i, {})[j] = m
@@ -178,8 +173,9 @@ class GordonRecord:
                 rec.verma_decomposition[(int(i), int(j))] = int(m)
             elif section == "Specializations":
                 fam, _, rest = body.partition(":")
-                rec.specializations.append((parse_family(fam), None, None,
-                                            rest.strip()))
+                p, root, u = rest.split(None, 2)
+                rec.specializations.append((parse_family(fam), int(p[2:]),
+                                            int(root[5:]), u[3:-1]))
             else:
                 raise ValueError(f"stray record line {ln!r}")
         return rec

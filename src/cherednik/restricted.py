@@ -3,12 +3,10 @@ quotient, and the integrality machinery guarding finite-field reduction."""
 
 from __future__ import annotations
 
-import math
-
 from .algebra import CherednikAlgebra, CherednikParameter, PBWElement
 from .groups import ReflectionGroup
 from .multipoly import MultiPoly
-from .scalars import FieldError, denominator_of
+from .scalars import FieldError, _prime_factors, denominator_of
 
 
 class RestrictedAlgebra:
@@ -65,21 +63,6 @@ class RestrictedAlgebra:
         return self.base.one()
 
 
-def _prime_divisors(n: int):
-    n = abs(int(n))
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def bad_primes(group: ReflectionGroup):
     """Primes dividing any denominator in: coinvariant structure constants
     (both sides), generator matrices, or their inverses.  Reduction of the
@@ -101,7 +84,7 @@ def bad_primes(group: ReflectionGroup):
                 dens.add(denominator_of(v))
     primes = set()
     for d in dens:
-        primes |= _prime_divisors(d)
+        primes.update(_prime_factors(d))
     return primes
 
 

@@ -228,73 +228,84 @@ class Rationals(FieldSpec):
 QQ = Rationals()
 
 
+# ---------------------------------------------------------------------------
+# dense polynomials over F_p: lists of ints in [0, p), low degree first,
+# without trailing zeros
+
+def _ptrim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _psub(f, g, p):
+    n = max(len(f), len(g))
+    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+    return _ptrim([(a - b) % p for a, b in zip(f, g)])
+
+
+def _pmul(f, g, p):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return _ptrim(out)
+
+
+def _pdivmod(f, g, p):
+    f = list(f)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    inv = pow(g[-1], -1, p)
+    for k in range(len(f) - len(g), -1, -1):
+        c = f[k + len(g) - 1] * inv % p
+        if c:
+            q[k] = c
+            for j, b in enumerate(g):
+                f[k + j] = (f[k + j] - c * b) % p
+    return _ptrim(q), _ptrim(f)
+
+
+def _pgcd(f, g, p):
+    f, g = list(f), list(g)
+    while g:
+        f, g = g, _pdivmod(f, g, p)[1]
+    if f:
+        inv = pow(f[-1], -1, p)
+        f = [c * inv % p for c in f]
+    return f
+
+
+def _pmod(f, g, p):
+    return _pdivmod(f, g, p)[1]
+
+
+def _ppowmod(f, e, g, p):
+    out = [1]
+    base = _pmod(f, g, p)
+    while e:
+        if e & 1:
+            out = _pmod(_pmul(out, base, p), g, p)
+        base = _pmod(_pmul(base, base, p), g, p)
+        e >>= 1
+    return out
+
+
 def _fp_poly_is_irreducible(coeffs, p):
-    """Irreducibility of a monic polynomial over F_p (distinct-degree test)."""
-    f = [c % p for c in coeffs]
+    """Irreducibility of a monic polynomial f of degree d over F_p (Rabin):
+    x^{p^d} = x mod f, and gcd(f, x^{p^{d/q}} - x) = 1 for primes q | d."""
+    f = _ptrim([c % p for c in coeffs])
     d = len(f) - 1
-    if d <= 0:
+    if d < 1:
         return False
-
-    def pmulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % p
-        # reduce mod f
-        for k in range(len(out) - 1, d - 1, -1):
-            c = out[k]
-            if c:
-                for j in range(d + 1):
-                    out[k - d + j] = (out[k - d + j] - c * f[j]) % p
-        return out[:d] + [0] * (d - len(out[:d]))
-
-    def xpow(e):
-        result = [1] + [0] * (d - 1)
-        sq = [0, 1] + [0] * max(0, d - 2)
-        if d == 1:
-            sq = pmulmod([0, 1], [1])
-        while e:
-            if e & 1:
-                result = pmulmod(result, sq)
-            sq = pmulmod(sq, sq)
-            e >>= 1
-        return result
-
-    def gcd_with_f(g):
-        a = list(f)
-        b = list(g)
-        while any(b):
-            while b and b[-1] == 0:
-                b.pop()
-            if not b:
-                break
-            inv = pow(b[-1], -1, p)
-            while len(a) >= len(b) and any(a):
-                while a and a[-1] == 0:
-                    a.pop()
-                if len(a) < len(b):
-                    break
-                c = a[-1] * inv % p
-                shift = len(a) - len(b)
-                for j in range(len(b)):
-                    a[shift + j] = (a[shift + j] - c * b[j]) % p
-            a, b = b, a
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    # x^{p^d} == x mod f, and gcd(x^{p^{d/q}} - x, f) trivial for primes q | d
-    h = xpow(p ** d)
-    h[1] = (h[1] - 1) % p
-    if any(h):
+    x = [0, 1]
+    if _pmod(_psub(_ppowmod(x, p ** d, f, p), x, p), f, p):
         return False
     for q in set(_prime_factors(d)):
-        g = xpow(p ** (d // q))
-        g[1] = (g[1] - 1) % p
-        if not any(g):
-            return False
-        if len(gcd_with_f(g)) > 1:
+        h = _psub(_ppowmod(x, p ** (d // q), f, p), x, p)
+        if len(_pgcd(f, h, p)) > 1:
             return False
     return True
 
@@ -724,10 +735,6 @@ class RationalFunctionField(FieldSpec):
         out[self.name] = self.var()
         return out
 
-    def numerator_coeffs(self, s):
-        """Payload accessors used by specialization."""
-        return s[0]
-
     def _key(self):
         return ("function-field", self.base._key(), self.name)
 
@@ -905,18 +912,8 @@ def scalar_arithmetic(a: Scalar, b: Scalar, op: str) -> Scalar:
     if op == "mul":
         return a * b
     if op == "div":
-        if not a.spec.is_field:
-            # ring level: only exact unit division is available
-            return a / b
         return a / b
     raise FieldError(f"unknown operation {op!r}")
-
-
-def fraction_mod_p(q: Fraction, p: int) -> int:
-    if q.denominator % p == 0:
-        raise FieldError(f"denominator of {q} is divisible by {p}; "
-                         "pick a different prime")
-    return q.numerator * pow(q.denominator, -1, p) % p
 
 
 def reduce_mod_prime(a: Scalar, p: int, root: int = 0) -> Scalar:
@@ -928,7 +925,7 @@ def reduce_mod_prime(a: Scalar, p: int, root: int = 0) -> Scalar:
     fp = PrimeField(p)
     spec = a.spec
     if spec.kind == "rationals":
-        return Scalar(fp, fraction_mod_p(a.payload, p))
+        return Scalar(fp, fp.payload_from_fraction(a.payload))
     if spec.kind == "number-field":
         val = _poly_eval_fractions(spec.minpoly, root, p)
         if val % p != 0:
@@ -936,7 +933,7 @@ def reduce_mod_prime(a: Scalar, p: int, root: int = 0) -> Scalar:
                              f"polynomial mod {p}")
         acc = 0
         for c in reversed(a.payload):
-            acc = (acc * root + fraction_mod_p(c, p)) % p
+            acc = (acc * root + fp.payload_from_fraction(c)) % p
         return Scalar(fp, acc)
     raise FieldError(f"cannot reduce a {spec.kind} scalar modulo a prime")
 
@@ -974,6 +971,36 @@ def denominator_of(a: Scalar) -> int:
             d = d * e // math.gcd(d, e)
         return d
     raise FieldError(f"no integral structure for {spec.kind} scalars")
+
+
+def as_integer(s: Scalar, divisor: int) -> int:
+    """Exact value of s / divisor as an int, for a constant s of Q, a number
+    field, or a polynomial ring or function field over them."""
+    q = _as_fraction(s) / divisor
+    if q.denominator != 1:
+        raise FieldError(f"{s!r} / {divisor} is not an integer")
+    return int(q)
+
+
+def _as_fraction(s: Scalar) -> Fraction:
+    spec, p = s.spec, s.payload
+    if spec.kind == "rationals":
+        return p
+    if spec.kind == "number-field" and not any(p[1:]):
+        return p[0]
+    if spec.kind == "poly-ring":
+        if not p:
+            return Fraction(0)
+        if len(p) == 1 and not any(p[0][0]):
+            return _as_fraction(Scalar(spec.base, p[0][1]))
+    if spec.kind == "rational-function-field":
+        num, den = p
+        if not num:
+            return Fraction(0)
+        if len(num) == 1 and len(den) == 1:
+            return _as_fraction(Scalar(spec.base, num[0])) \
+                / _as_fraction(Scalar(spec.base, den[0]))
+    raise FieldError(f"{s!r} is not a rational constant")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from cherednik.algebra import CherednikParameter, restrict_to_hyperplane
+from cherednik.algebra import CherednikParameter, ParameterError, \
+    generic_ggor, restrict_to_hyperplane
 from cherednik.groups import load_group
 from cherednik.lift import (
     FiniteFieldSpec,
@@ -14,6 +15,7 @@ from cherednik.lift import (
     draw_specialization,
     evaluate_scalar,
     find_submodule,
+    gordon,
     head_and_radical,
     specialize_module,
     verma_families,
@@ -202,3 +204,43 @@ def test_verma_families_trivial_and_blocked():
     mixed = dict(diag)
     mixed[(1, 2)] = 2
     assert verma_families(mixed) == [(1, 2), (3,)]
+
+
+def test_gordon_s3_generic_point():
+    # at c = 1 every simple has dimension |W| = 6, the CM families are
+    # singletons, and the reflection representation (3) occurs twice in its
+    # own Verma module: dim 12 = 2 * 6
+    G = load_group("S3")
+    rec = gordon(G, CherednikParameter(G, QQ, 0, [1]), seed=0)
+    assert rec.simple_dims == {1: 6, 2: 6, 3: 6}
+    assert rec.verma_decomposition[(3, 3)] == 2
+    assert rec.cm_families == [(1,), (2,), (3,)]
+
+
+def test_gordon_s3_at_c_zero():
+    # at c = 0 the heads are the irreducibles in degree 0, and the Verma
+    # module of lam is K[V]_W (x) lam, whose composition factors count
+    # [Delta(lam) : L(mu)] = dim lam * dim mu
+    G = load_group("S3")
+    rec = gordon(G, CherednikParameter(G, QQ, 0, [0]), seed=0)
+    dims = {i + 1: rho.dim for i, rho in enumerate(G.irreps)}
+    assert rec.simple_dims == dims == {1: 1, 2: 1, 3: 2}
+    for (lam, mu), mult in rec.verma_decomposition.items():
+        assert mult == dims[lam] * dims[mu]
+    assert rec.cm_families == [(1, 2, 3)]
+
+
+def test_gordon_b2_hyperplane_family():
+    G = load_group("B2")
+    par = restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
+    rec = gordon(G, par, "k1_1-k2_1", seed=0)
+    assert (3, 4, 5) in rec.cm_families
+    assert [rec.simple_dims[i] for i in (3, 4, 5)] == [1, 1, 6]
+
+
+def test_gordon_rejects_parameters_outside_a_field():
+    # the generic S3 parameter lives in a polynomial ring, where the
+    # submodule search cannot divide
+    G = load_group("S3")
+    with pytest.raises(ParameterError):
+        gordon(G, generic_ggor(G).to_cherednik())

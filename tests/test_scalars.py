@@ -11,6 +11,7 @@ from cherednik.scalars import (
     PrimeField,
     RationalFunctionField,
     Scalar,
+    _fp_poly_is_irreducible,
     cyclotomic_field,
     denominator_of,
     minpoly_roots_mod_p,
@@ -90,6 +91,41 @@ def test_nested_tower():
     k = F.var()
     s = (z * k + 1) / (k - z)
     assert s * (k - z) == z * k + 1
+
+
+def _monic_polys(degree, p):
+    """Every monic polynomial of the degree over F_p, low degree first."""
+    for k in range(p ** degree):
+        yield [k // p ** i % p for i in range(degree)] + [1]
+
+
+def _has_factor(f, g, p):
+    """Whether the monic g divides f over F_p, by long division."""
+    r = list(f)
+    for k in range(len(f) - len(g), -1, -1):
+        c = r[k + len(g) - 1]
+        for j, b in enumerate(g):
+            r[k + j] = (r[k + j] - c * b) % p
+    return not any(r[:len(g) - 1])
+
+
+def test_fp_irreducibility_matches_trial_division():
+    # a monic polynomial of degree <= 4 is reducible exactly when a monic
+    # polynomial of degree 1 or 2 divides it
+    for p in (3, 5, 7):
+        divisors = [g for d in (1, 2) for g in _monic_polys(d, p)]
+        for degree in (2, 3, 4):
+            for f in _monic_polys(degree, p):
+                reducible = any(_has_factor(f, g, p) for g in divisors
+                                if len(g) < len(f))
+                assert _fp_poly_is_irreducible(f, p) == (not reducible), \
+                    (f, p)
+
+
+def test_number_field_rejects_reducible_polynomial():
+    # x^2 - 1 = (x - 1)(x + 1) factors modulo every prime
+    with pytest.raises(FieldError):
+        NumberField((-1, 0, 1), "a")
 
 
 def test_prime_field():
