@@ -2,8 +2,10 @@
 
 Scalar tower and linear algebra, reflection groups with coinvariant
 algebras, PBW-form products, Verma modules for the restricted algebra,
-a prime-field MeatAxe, and the lifting pipeline that recovers heads and
-decomposition matrices in characteristic zero from finite-field data.
+and the lifting pipeline that recovers heads and decomposition matrices in
+characteristic zero from finite-field data.  Mod p, a Verma module's
+radical is one dual spin; a prime-field MeatAxe finds the composition
+factors for the decomposition matrix.
 """
 
 from .scalars import (

@@ -1,6 +1,8 @@
 """Module arithmetic over prime fields: irreducibility (Norton's test with
 minimal polynomials), composition series, homomorphism spaces via spinning
-relations, isomorphism testing, and radicals.
+relations and isomorphism testing, which serve the constituent step of the
+lift, plus the radical of a module generated by a simple lowest-degree
+part, which is one dual spin and no MeatAxe.
 
 All matrices are dense numpy int64 arrays reduced mod p.  Every random draw
 comes from an explicitly seeded generator, so identical seeds reproduce
@@ -481,14 +483,17 @@ def hom_space(M: FpModule, N: FpModule):
         for k, m in enumerate(M.mats):
             w = (m @ basis_vecs[bi]) % p
             if index_in_span.reduce(w) is None:
-                # dependent: record w = sum coords * basis
-                coords = _coords_against(basis_vecs, w, p)
-                relations.append((k, bi, coords))
+                relations.append((k, bi, w))
             else:
                 index_in_span.insert(w)
                 basis_vecs.append(w)
                 prov.append((k, bi))
                 pending.append(len(basis_vecs) - 1)
+
+    # a dependent w's coordinates against the spin basis so far are its
+    # coordinates in the full basis
+    B = np.stack(basis_vecs, axis=1) % p
+    Binv = inverse_mod(B, p)
 
     # symbolic images: Phi[t] (nN x g*nN) with phi(b_t) = Phi[t] @ unknowns
     Phi = [None] * len(basis_vecs)
@@ -502,11 +507,11 @@ def hom_space(M: FpModule, N: FpModule):
             k, parent = pv
             Phi[t] = (N.mats[k] @ Phi[parent]) % p
     rows = []
-    for k, parent, coords in relations:
+    for k, parent, w in relations:
         lhs = (N.mats[k] @ Phi[parent]) % p
-        for t, c in enumerate(coords):
+        for t, c in enumerate((Binv @ w) % p):
             if c:
-                lhs = (lhs - c * Phi[t]) % p
+                lhs = (lhs - int(c) * Phi[t]) % p
         rows.append(lhs)
     if rows:
         system = np.concatenate(rows, axis=0)
@@ -515,8 +520,6 @@ def hom_space(M: FpModule, N: FpModule):
         sols = np.eye(g * nN, dtype=np.int64)
 
     # convert each solution to a matrix on the standard basis of M
-    B = np.stack(basis_vecs, axis=1) % p
-    Binv = inverse_mod(B, p)
     out = []
     for j in range(sols.shape[1]):
         w = sols[:, j]
@@ -527,14 +530,6 @@ def hom_space(M: FpModule, N: FpModule):
     return out
 
 
-def _coords_against(basis_vecs, w, p):
-    mat = np.stack(basis_vecs, axis=1)
-    sol = solve_mod(mat, w, p)
-    if sol is None:
-        raise ValueError("vector not in span")
-    return [int(c) for c in sol]
-
-
 def is_isomorphic(M: FpModule, N: FpModule) -> bool:
     """For simple modules: equal dimension plus a nonzero homomorphism."""
     if M.dim != N.dim or M.p != N.p:
@@ -542,26 +537,21 @@ def is_isomorphic(M: FpModule, N: FpModule) -> bool:
     return len(hom_space(M, N)) > 0
 
 
-def radical(module: FpModule, rng=None, verify=True):
-    """Canonical basis of the intersection of the kernels of all
-    homomorphisms onto the composition factors: the radical."""
-    rng = rng or random.Random(0)
-    if module.dim == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    factors = chop(module, rng)
-    p = module.p
-    homrows = []
-    for simple, _ in factors:
-        for phi in hom_space(module, simple):
-            homrows.append(phi)
-    if homrows:
-        stack = np.concatenate(homrows, axis=0)
-        rad = nullspace_mod(stack, p)
-    else:
-        rad = rcef_mod(np.eye(module.dim, dtype=np.int64), p)
-    if verify and rad.shape[1] > 0:
-        quo, _ = quotient_by_submodule(module, rad)
-        again = radical(quo, rng, verify=False)
-        if again.shape[1] != 0:
-            raise MeatAxeRetry("radical verification failed")
-    return rad
+def radical(module: FpModule):
+    """Canonical basis of the radical of a graded module generated by a
+    simple lowest-degree part, such as a baby Verma module mod a good prime.
+    Every proper submodule then has zero lowest-degree part, so the radical
+    is the largest such submodule: the common kernel of the lowest-degree
+    coordinate functionals spun under the transposed action.  Raises
+    ValueError when the module has no degrees or its lowest-degree part does
+    not generate it; simplicity of that part is the caller's premise."""
+    if not module.degrees:
+        raise ValueError("the radical needs a graded module")
+    low = min(module.degrees)
+    unit = np.eye(module.dim, dtype=np.int64)
+    seeds = [unit[:, i] for i, d in enumerate(module.degrees) if d == low]
+    if spin(module, seeds).shape[1] != module.dim:
+        raise ValueError("the lowest-degree part does not generate the "
+                         "module")
+    dual = spin(module.transpose(), seeds)
+    return nullspace_mod(dual.T, module.p)

@@ -278,8 +278,8 @@ def is_invariant_subspace(module: GradedModule, basis: ExactMatrix) -> bool:
     for c in cols:
         ech.insert(c)
     for m in module.mats:
-        for c in cols:
-            if not ech.contains(m.apply_to(c)):
+        for c in (m * basis).columns():
+            if not ech.contains(c):
                 return False
     return True
 
@@ -329,9 +329,9 @@ def quotient_module(module: GradedModule, sub: ExactMatrix) -> Quotient:
     mats = []
     for m in module.mats:
         mm = ExactMatrix(module.spec, len(kept), len(kept))
+        mcols = m.columns()
         for j, row in enumerate(kept):
-            col = m.apply_to({row: module.spec.one()})
-            img = q.project(col)
+            img = q.project(mcols[row])
             for i, c in img.items():
                 mm.entries[(i, j)] = c
         mats.append(mm)

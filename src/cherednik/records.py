@@ -1,5 +1,5 @@
-"""Result records for whole-group runs, their text serialization, and the
-regression comparison used against shipped expected values."""
+"""Result records for whole-group runs, their consistency checks, and their
+text serialization."""
 
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ class GordonRecord:
         self.verma_decomposition = {}  # (i, j) -> int
         self.cm_families = None       # list of tuples, or None if partial
         self.specializations = []     # [(members, p, root, u string)]
-        self.any_pseries = None       # partial-record assertion
 
     # -- invariants -----------------------------------------------------------
     def validate(self):
@@ -110,8 +109,6 @@ class GordonRecord:
                             for f in sorted(self.cm_families,
                                             key=lambda t: min(t)))
             lines.append(f"CMFamilies: {fams}")
-        if self.any_pseries is not None:
-            lines.append(f"AnySimplePSeries: {self.any_pseries}")
         if self.specializations:
             lines.append("Specializations:")
             for members, p, root, u in self.specializations:
@@ -144,8 +141,6 @@ class GordonRecord:
                 elif head == "CMFamilies":
                     rec.cm_families = [parse_family(t)
                                        for t in rest.split()]
-                elif head == "AnySimplePSeries":
-                    rec.any_pseries = rest
                 elif head in ("EulerFamilies", "SimpleDims", "SimplePSeries",
                               "SimpleGradedGModStruct", "VermaDecomposition",
                               "Specializations"):
@@ -194,50 +189,3 @@ def _eval_poly_at_one(text: str) -> int:
         else:
             total += int(part)
     return total
-
-
-def compare_records(a: GordonRecord, b: GordonRecord):
-    """Differences on fields present in both records; families compare as
-    sets.  An AnySimplePSeries assertion in either record must match some
-    series of the other."""
-    diffs = []
-    if a.group != b.group:
-        diffs.append(f"Group: {a.group} != {b.group}")
-        return diffs
-    if a.hyperplane and b.hyperplane and a.hyperplane != b.hyperplane:
-        diffs.append(f"Hyperplane: {a.hyperplane!r} != {b.hyperplane!r}")
-    if a.euler_families and b.euler_families:
-        fa = {frozenset(m): s for m, s in a.euler_families}
-        fb = {frozenset(m): s for m, s in b.euler_families}
-        if fa != fb:
-            diffs.append("EulerFamilies differ")
-    for name in ("simple_dims", "simple_pseries", "simple_graded"):
-        da, db = getattr(a, name), getattr(b, name)
-        shared = set(da) & set(db)
-        for i in sorted(shared):
-            if da[i] != db[i]:
-                diffs.append(f"{name}[{i}]: {da[i]!r} != {db[i]!r}")
-    if a.verma_decomposition and b.verma_decomposition:
-        shared = set(a.verma_decomposition) & set(b.verma_decomposition)
-        for key in sorted(shared):
-            va = a.verma_decomposition[key]
-            vb = b.verma_decomposition[key]
-            if va != vb:
-                diffs.append(f"VermaDecomposition{key}: {va} != {vb}")
-        if set(a.verma_decomposition) != set(b.verma_decomposition):
-            only_a = set(a.verma_decomposition) - set(b.verma_decomposition)
-            only_b = set(b.verma_decomposition) - set(a.verma_decomposition)
-            if a.cm_families is not None and b.cm_families is not None \
-                    and (only_a or only_b):
-                diffs.append("VermaDecomposition supports differ")
-    if a.cm_families is not None and b.cm_families is not None:
-        if {frozenset(f) for f in a.cm_families} != \
-                {frozenset(f) for f in b.cm_families}:
-            diffs.append("CMFamilies differ")
-    for rec, other in ((a, b), (b, a)):
-        if rec.any_pseries is not None and other.simple_pseries:
-            if rec.any_pseries not in other.simple_pseries.values():
-                diffs.append(
-                    f"no simple module has Poincare series "
-                    f"{rec.any_pseries!r}")
-    return diffs

@@ -66,7 +66,10 @@ class RestrictedAlgebra:
 def bad_primes(group: ReflectionGroup):
     """Primes dividing any denominator in: coinvariant structure constants
     (both sides), generator matrices, or their inverses.  Reduction of the
-    restricted algebra's structure constants is safe away from this set."""
+    restricted algebra's structure constants is safe away from this set.
+    Computed once per group."""
+    if group._bad_primes is not None:
+        return group._bad_primes
     dens = set()
     for side in ("V", "V*"):
         co = group.coinvariant_algebra(side)
@@ -85,7 +88,8 @@ def bad_primes(group: ReflectionGroup):
     primes = set()
     for d in dens:
         primes.update(_prime_factors(d))
-    return primes
+    group._bad_primes = frozenset(primes)
+    return group._bad_primes
 
 
 def is_potentially_integral(group: ReflectionGroup, par: CherednikParameter,

@@ -3,6 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from cherednik.algebra import CherednikParameter, ggor_from_values, \
+    restrict_to_hyperplane
+from cherednik.groups import load_group
+from cherednik.lift import draw_specialization, specialize_module
 from cherednik.meataxe import (
     FpModule,
     chop,
@@ -19,6 +23,7 @@ from cherednik.meataxe import (
     rref_mod,
     spin,
 )
+from cherednik.modules import verma_module
 
 
 def s3_matrices(p):
@@ -126,14 +131,18 @@ def test_isomorphic_conjugates():
 
 
 def test_semisimple_radical_zero():
-    M = s3_matrices(7)  # semisimple: 7 coprime to |S3|
-    rad = radical(M, random.Random(3))
-    assert rad.shape[1] == 0
+    # semisimple: 7 is coprime to |S3|.  Placed in one degree, the whole
+    # module is its lowest-degree part, so the dual spin finds no radical
+    M = s3_matrices(7)
+    factors = chop(M, random.Random(3))
+    assert sorted((f.dim, m) for f, m in factors) == [(1, 1), (2, 1)]
+    graded = FpModule(7, M.mats, degrees=[0, 0, 0])
+    assert radical(graded).shape[1] == 0
 
 
 def plant_block_module(rng, p, blocks):
     """Block lower-triangular module: diagonal simple blocks with random
-    connecting entries below; returns (module, oracle radical basis)."""
+    connecting entries below."""
     mats_blocks = []
     # simple blocks: 1-dim (scalars) and the S3 standard rep
     defs = []
@@ -203,13 +212,11 @@ def test_planted_radicals_recovered():
         nblocks = rng.randint(2, 4)
         blocks = [rng.choice([1, 1, 2]) for _ in range(nblocks)]
         M = plant_block_module(rng, p, blocks)
-        rad = radical(M, random.Random(trial))
-        want = oracle_radical(M)
-        assert rad.shape == want.shape
-        assert np.array_equal(rad % p, want % p)
-        # chop multiset invariance under base change
         factors = chop(M, random.Random(trial + 1))
         assert sum(f.dim * m for f, m in factors) == M.dim
+        # the composition factors are the planted diagonal blocks
+        assert sorted(f.dim for f, m in factors for _ in range(m)) \
+            == sorted(blocks)
 
 
 def test_chop_invariant_under_conjugation():
@@ -229,21 +236,61 @@ def test_chop_invariant_under_conjugation():
     assert fm == fn
 
 
+def fp_vermas(G, par, seed=0):
+    """Every Verma module of G at par, specialized at one drawn prime (and
+    a drawn point of the parameter's free variable, if it has one)."""
+    vermas = [verma_module(G, par, rho) for rho in G.irreps]
+    ff = draw_specialization(G, par, max(V.dim for V in vermas),
+                             random.Random(seed))
+    return [specialize_module(V, ff) for V in vermas]
+
+
+def small_parameters():
+    S3, B2 = load_group("S3"), load_group("B2")
+    yield S3, CherednikParameter(S3, S3.spec, 0, [1])
+    yield B2, CherednikParameter(B2, B2.spec, 0, [1, 2])
+    yield B2, CherednikParameter(B2, B2.spec, 0, [0, 0])
+    yield B2, restrict_to_hyperplane(B2, "k1_1-k2_1").to_cherednik()
+
+
+def test_verma_radical_matches_oracle():
+    for G, par in small_parameters():
+        for M in fp_vermas(G, par):
+            want = oracle_radical(M)
+            assert np.array_equal(radical(M), want)
+
+
+def test_g4_verma_heads_have_dimension_24():
+    # G4 at k = (1,3) is a smooth point: every simple has dim |W| = 24
+    G = load_group("G4")
+    par = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}).to_cherednik()
+    for M in fp_vermas(G, par):
+        assert M.dim - radical(M).shape[1] == 24
+
+
 def test_radical_of_quotient_is_zero():
-    rng = random.Random(99)
-    M = plant_block_module(rng, 11, [2, 1, 1])
-    rad = radical(M, random.Random(4))
-    quo, _ = quotient_by_submodule(M, rad)
-    if quo.dim:
-        assert radical(quo, random.Random(5)).shape[1] == 0
+    for G, par in small_parameters():
+        for M in fp_vermas(G, par, seed=1):
+            quo, _ = quotient_by_submodule(M, radical(M))
+            assert radical(quo).shape[1] == 0
+            assert is_irreducible(quo, random.Random(5))[0]
+
+
+def test_radical_needs_a_lowest_degree_generator():
+    with pytest.raises(ValueError):
+        radical(s3_matrices(7))
+    # standard + trivial: the degree-0 standard part spans a submodule
+    p = 7
+    mats = [np.block([[m, np.zeros((2, 1), dtype=np.int64)],
+                      [np.zeros((1, 2), dtype=np.int64), np.ones((1, 1))]])
+            for m in s3_standard(p).mats]
+    with pytest.raises(ValueError):
+        radical(FpModule(p, mats, degrees=[0, 0, 1]))
 
 
 def test_determinism_same_seed():
     rng = random.Random(321)
     M = plant_block_module(rng, 13, [1, 2, 2])
-    r1 = radical(M, random.Random(77))
-    r2 = radical(M, random.Random(77))
-    assert np.array_equal(r1, r2)
     c1 = [(f.dim, m) for f, m in chop(M, random.Random(78))]
     c2 = [(f.dim, m) for f, m in chop(M, random.Random(78))]
     assert c1 == c2

@@ -1,10 +1,16 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from cherednik.algebra import CherednikParameter
+from cherednik.algebra import CherednikParameter, euler_families, \
+    ggor_from_values, restrict_to_hyperplane
 from cherednik.groups import load_group
 from cherednik.lift import gordon
 from cherednik.records import GordonRecord
 from cherednik.scalars import QQ
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 
 
 def s3_record(seed=0):
@@ -29,3 +35,49 @@ def test_text_round_trip():
 
 def test_same_seed_same_record():
     assert s3_record(5).to_text() == s3_record(5).to_text()
+
+
+def pinned_case(case):
+    """(group, parameter, hyperplane text, families or None for all) of a
+    case of the benchmark's pinned records."""
+    if case == "G4_k13":
+        G = load_group("G4")
+        par = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3})
+        return G, par.to_cherednik(), "", [(1,), (4,)]
+    if case == "B2_hyp":
+        G = load_group("B2")
+        par = restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
+        return G, par, "k1_1-k2_1", None
+    name, c = {"S3_c1": ("S3", [1]), "S3_c0": ("S3", [0]),
+               "B2_c12": ("B2", [1, 2]), "B2_c0": ("B2", [0, 0])}[case]
+    G = load_group(name)
+    return G, CherednikParameter(G, G.spec, 0, c), "", None
+
+
+def seed_independent(text):
+    """The record text without its Seed line and Specializations section."""
+    kept = []
+    skipping = False
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            skipping = line.startswith("Specializations:")
+            if line.startswith("Seed:"):
+                continue
+        if not skipping:
+            kept.append(line)
+    return "\n".join(kept) + "\n"
+
+
+@pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
+                                  "B2_hyp", "G4_k13"])
+def test_family_records_match_pinned(case):
+    with open(PINNED) as f:
+        pinned = json.load(f)[case]
+    G, par, hyperplane, families = pinned_case(case)
+    if families is None:
+        families = [m for m, _ in euler_families(G, par)]
+        assert {",".join(map(str, m)) for m in families} == set(pinned)
+    for members in families:
+        text = gordon(G, par, hyperplane, families=members, seed=0).to_text()
+        key = ",".join(str(m) for m in members)
+        assert seed_independent(text) == pinned[key], key

@@ -104,6 +104,11 @@ def test_bad_primes_g4():
         assert p not in primes
 
 
+def test_bad_primes_computed_once_per_group():
+    G = load_group("B2")
+    assert bad_primes(G) is bad_primes(G)
+
+
 def test_potentially_integral():
     G = load_group("C2")
     par0 = CherednikParameter(G, G.spec, 0, [0])
