@@ -6,10 +6,10 @@ generated by its degree-0 part, which stays simple mod p), record only the
 radical's field-independent shape (pivot skeleton plus the equality pattern
 of the non-pivot entries), and re-find a submodule with that shape over the
 original field by solving the linear strata of the invariance equations.
-The MeatAxe serves only the constituent step: chopping each Verma mod p and
-matching its factors with the heads.  A graded spinning check and a zero
-radical of the lifted head downstairs make every answer safe: failures are
-visible, wrong answers impossible."""
+Graded characters are unitriangular, so each Verma's decomposition row is
+peeled from its character against the heads'.  A graded spinning check and
+a zero radical of the lifted head downstairs make every answer safe:
+failures are visible, wrong answers impossible."""
 
 from __future__ import annotations
 
@@ -20,9 +20,10 @@ import numpy as np
 from .algebra import CherednikParameter, ParameterError
 from .groups import ReflectionGroup
 from .linalg import ExactMatrix
-from .meataxe import FpModule, MeatAxeRetry, chop, is_isomorphic, radical
-from .modules import GradedModule, _Echelon, graded_spin, \
-    is_invariant_subspace, quotient_module, verma_module
+from .meataxe import FpModule, radical
+from .modules import GradedModule, _Echelon, graded_character, \
+    graded_spin, is_invariant_subspace, quotient_module, verma_character, \
+    verma_module
 from .restricted import bad_primes, is_potentially_integral
 from .scalars import FieldError, Scalar, minpoly_roots_mod_p, \
     reduce_mod_prime
@@ -371,16 +372,12 @@ class SubmoduleEquations:
             targets = {}
             for j in range(struct.ncols):
                 targets.setdefault(self.col_degree[j], []).append(j)
-            pivot_col = {p: j for j, p in enumerate(struct.pivots)}
-            fine_by_row = {}
-            for (i, j), lab in struct.fine.items():
-                fine_by_row.setdefault(i, []).append((j, lab))
             for j in range(struct.ncols):
                 dkj = targets.get(gdeg + self.col_degree[j], [])
                 # w = X^(k) applied to the symbolic column j
                 w = {}
 
-                def add_col(col, key, coeff_one=True):
+                def add_col(col, key):
                     for i, v in col.items():
                         slot = w.setdefault(i, {})
                         slot[key] = slot.get(key, zero) + v
@@ -605,12 +602,11 @@ def find_submodule(module: GradedModule, struct: AbstractStructure,
 # heads, radicals, decomposition matrices
 
 class HeadResult:
-    __slots__ = ("radical_basis", "head", "head_fp")
+    __slots__ = ("radical_basis", "head")
 
-    def __init__(self, radical_basis, head, head_fp):
+    def __init__(self, radical_basis, head):
         self.radical_basis = radical_basis
         self.head = head
-        self.head_fp = head_fp
 
 
 def head_and_radical(module: GradedModule, ff: FiniteFieldSpec, rng,
@@ -621,7 +617,7 @@ def head_and_radical(module: GradedModule, ff: FiniteFieldSpec, rng,
     rad = radical(mbar)
     if not rad.shape[1]:
         zero = ExactMatrix(module.spec, module.dim, 0)
-        return HeadResult(zero, module, mbar)
+        return HeadResult(zero, module)
     try:
         struct = abstract_structure(rad)
         found = find_submodule(module, struct)
@@ -631,7 +627,7 @@ def head_and_radical(module: GradedModule, ff: FiniteFieldSpec, rng,
         qbar = specialize_module(quo.module, ff)
         if radical(qbar).shape[1]:
             raise LiftFailure("lifted quotient is not simple downstairs")
-        return HeadResult(found, quo.module, qbar)
+        return HeadResult(found, quo.module)
     except LiftFailure as exc:
         if retries <= 0:
             raise LiftFailure(str(exc))
@@ -651,17 +647,41 @@ def head_and_radical(module: GradedModule, ff: FiniteFieldSpec, rng,
                 inner = head_and_radical(quo.module, ff, rng, retries - 1)
                 lifted = quo.lift(inner.radical_basis.columns())
                 total = graded_spin(module, sub.columns() + lifted)
-                return HeadResult(total, inner.head, inner.head_fp)
+                return HeadResult(total, inner.head)
         raise LiftFailure(str(exc))
 
 
-class FamilyDecomposition:
-    __slots__ = ("members", "heads", "matrix", "spec")
+def peel(character, simples):
+    """Composition multiplicities {member: count} of a module with the given
+    graded character (graded_character's layout) over the simples {1-based
+    irrep: graded character}, each its irrep in degree 0 plus higher
+    degrees: the lowest degree left names whole simples, so take them off
+    and go up.  Raises LiftFailure when the character does not peel."""
+    left = {(nu, d): m for nu, row in enumerate(character, 1)
+            for d, m in row.items()}
+    counts = dict.fromkeys(simples, 0)
+    for low in range(max((d for _, d in left), default=-1) + 1):
+        for nu, m in [(nu, m) for (nu, d), m in left.items() if d == low]:
+            if m < 0 or nu not in simples:
+                raise LiftFailure(f"irrep {nu} in degree {low} does not peel")
+            counts[nu] += m
+            for mu, row in enumerate(simples[nu], 1):
+                for d, k in row.items():
+                    left[(mu, low + d)] = left.get((mu, low + d), 0) - m * k
+        left = {key: v for key, v in left.items() if v}
+    if left:
+        raise LiftFailure("graded character does not peel to zero")
+    return counts
 
-    def __init__(self, members, heads, matrix, spec):
+
+class FamilyDecomposition:
+    __slots__ = ("members", "heads", "characters", "matrix", "spec")
+
+    def __init__(self, members, heads, characters, matrix, spec):
         self.members = list(members)
-        self.heads = heads          # {member: HeadResult}
-        self.matrix = matrix        # {(row member, col member): int}
+        self.heads = heads            # {member: HeadResult}
+        self.characters = characters  # {member: graded character of head}
+        self.matrix = matrix          # {(row member, col member): int}
         self.spec = spec
 
 
@@ -673,8 +693,10 @@ def decompose_family(group: ReflectionGroup, par: CherednikParameter,
                      members, rng, vermas=None) -> FamilyDecomposition:
     """Heads and the decomposition matrix of a constituent-closed family of
     standard modules (1-based irrep indices), from at most five
-    specializations.  Vermas built here are added to ``vermas``; the prime
-    window depends on this family's Verma dimensions only."""
+    specializations.  Each row comes from peeling the Verma's graded
+    character (closed form) against the heads' graded characters.  Vermas
+    built here are added to ``vermas``; the prime window depends on this
+    family's Verma dimensions only."""
     if vermas is None:
         vermas = {}
     for lam in members:
@@ -686,33 +708,19 @@ def decompose_family(group: ReflectionGroup, par: CherednikParameter,
     for _ in range(_MAX_DRAWS):
         ff = draw_specialization(group, par, maxdim, rng)
         try:
-            heads = {}
-            for lam in members:
-                heads[lam] = head_and_radical(vermas[lam], ff, rng)
-            # heads that collide downstairs show up below: the head of
-            # either Verma then matches two heads
+            heads = {lam: head_and_radical(vermas[lam], ff, rng)
+                     for lam in members}
+            characters = {lam: graded_character(group, heads[lam].head)
+                          for lam in members}
             matrix = {}
             for lam in members:
-                vbar = specialize_module(vermas[lam], ff)
-                factors = chop(vbar, rng)
-                row = {mu: 0 for mu in members}
-                for simple, mult in factors:
-                    matches = [mu for mu in members
-                               if is_isomorphic(simple, heads[mu].head_fp)]
-                    if len(matches) != 1:
-                        raise LiftFailure(
-                            "constituent matches "
-                            f"{len(matches)} heads; redraw")
-                    row[matches[0]] += mult
-                audit = sum(row[mu] * heads[mu].head.dim for mu in members)
-                if audit != vermas[lam].dim:
-                    raise LiftFailure("dimension audit failed")
-                for mu in members:
-                    matrix[(lam, mu)] = row[mu]
-            return FamilyDecomposition(members, heads, matrix, ff)
-        except (LiftFailure, SpecializationError, MeatAxeRetry) as exc:
+                row = peel(verma_character(group, group.irreps[lam - 1]),
+                           characters)
+                matrix.update(((lam, mu), row[mu]) for mu in members)
+            return FamilyDecomposition(members, heads, characters, matrix,
+                                       ff)
+        except (LiftFailure, SpecializationError) as exc:
             last = exc
-            continue
     raise LiftFailure(f"family {members}: no success within "
                       f"{_MAX_DRAWS} draws ({last})")
 
@@ -729,7 +737,6 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
     Deterministic given the seed.  Raises ParameterError when the
     parameter ring is not a field, and LiftFailure naming the families
     that did not complete."""
-    from .modules import graded_character
     from .records import GordonRecord, family_text, poly_in_t
     from .algebra import euler_families as _euler_families
 
@@ -754,7 +761,6 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
 
     vermas = {}
     failures = []
-    all_rows = {}
     for members in run_list:
         try:
             fam = decompose_family(group, par, members, rng, vermas=vermas)
@@ -768,12 +774,9 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
             head = fam.heads[lam].head
             record.simple_dims[lam] = head.dim
             record.simple_pseries[lam] = poly_in_t(head.poincare_series())
-            rows = graded_character(group, head)
-            record.simple_graded[lam] = [poly_in_t(r) for r in rows]
-            for mu in members:
-                record.verma_decomposition[(lam, mu)] = \
-                    fam.matrix[(lam, mu)]
-                all_rows[(lam, mu)] = fam.matrix[(lam, mu)]
+            record.simple_graded[lam] = [poly_in_t(r)
+                                         for r in fam.characters[lam]]
+        record.verma_decomposition.update(fam.matrix)
     if failures:
         details = "; ".join(f"{family_text(m)}: {msg}"
                             for m, msg in failures)
@@ -784,7 +787,7 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 record.verma_decomposition.setdefault((i, j), 0)
-        record.cm_families = verma_families(all_rows)
+        record.cm_families = verma_families(record.verma_decomposition)
         record.validate()
         record.verma_dim_audit({lam: vermas[lam].dim for lam in vermas})
     return record

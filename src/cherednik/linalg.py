@@ -149,19 +149,6 @@ class ExactMatrix:
             return out
         return self.scale(other)
 
-    def apply_to(self, col):
-        """Sparse matrix times sparse column dict."""
-        cols = {}
-        for (i, j), v in self.entries.items():
-            cols.setdefault(j, []).append((i, v))
-        out = {}
-        for j, c in col.items():
-            for i, v in cols.get(j, ()):
-                s = out.get(i)
-                p = v * c
-                out[i] = p if s is None else s + p
-        return {i: v for i, v in out.items() if not v.is_zero()}
-
     def transpose(self):
         out = ExactMatrix(self.spec, self.ncols, self.nrows)
         out.entries = {(j, i): v for (i, j), v in self.entries.items()}

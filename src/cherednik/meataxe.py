@@ -1,8 +1,9 @@
-"""Module arithmetic over prime fields: irreducibility (Norton's test with
-minimal polynomials), composition series, homomorphism spaces via spinning
-relations and isomorphism testing, which serve the constituent step of the
-lift, plus the radical of a module generated by a simple lowest-degree
-part, which is one dual spin and no MeatAxe.
+"""Module arithmetic over prime fields: the radical of a module generated
+by a simple lowest-degree part, one dual spin and all that ``lift`` uses,
+and the MeatAxe (Norton's irreducibility test with minimal polynomials,
+composition series, homomorphism spaces via spinning relations, isomorphism
+testing), the tests' independent oracle for the decomposition numbers that
+``lift`` peels from graded characters.
 
 All matrices are dense numpy int64 arrays reduced mod p.  Every random draw
 comes from an explicitly seeded generator, so identical seeds reproduce

@@ -260,12 +260,14 @@ def graded_spin(module: GradedModule, seeds) -> ExactMatrix:
         r = ech.insert(v)
         if r is not None:
             work.append(dict(r))
+    mcols = [m.columns() for m in module.mats]
     while work:
         v = work.pop()
-        for m in module.mats:
-            w = m.apply_to(v)
-            if not w:
-                continue
+        for cols in mcols:
+            w = {}
+            for j, c in v.items():
+                for i, x in cols[j].items():
+                    w[i] = w[i] + x * c if i in w else x * c
             r = ech.insert(w)
             if r is not None:
                 work.append(dict(r))
@@ -384,6 +386,21 @@ def graded_character(group: ReflectionGroup, module: GradedModule):
                 tr = tr + b[(i, i)]
             traces.append(tr)
         class_traces[dgr] = traces
+    return _multiplicities(group, spec, class_traces)
+
+
+def verma_character(group: ReflectionGroup, rho: Irrep):
+    """graded_character of the Verma module of rho without building it: its
+    degree-d part is the degree-d coinvariants tensor rho."""
+    chi = rho.character()
+    class_traces = {
+        dgr: [t * c for t, c in zip(traces, chi)]
+        for dgr, traces in enumerate(group.graded_coinvariant_characters())}
+    return _multiplicities(group, group.spec, class_traces)
+
+
+def _multiplicities(group, spec, class_traces):
+    """graded_character's rows from class traces {degree: [per class]}."""
     sizes = [len(c) for c in group.conj_classes]
     out = []
     for rho in group.irreps:

@@ -32,9 +32,6 @@ def parse_family(text):
 
 
 class GordonRecord:
-    FIELDS = ("Hyperplane", "EulerFamilies", "SimpleDims", "SimplePSeries",
-              "SimpleGradedGModStruct", "VermaDecomposition", "CMFamilies")
-
     def __init__(self, group, hyperplane, seed=None):
         self.group = group
         self.hyperplane = hyperplane

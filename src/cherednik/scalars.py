@@ -104,13 +104,6 @@ def _poly_gcd(base, a, b):
     return _poly_monic(base, a)
 
 
-def _poly_eval(base, a, x):
-    acc = base.payload_zero()
-    for c in reversed(a):
-        acc = base.payload_add(base.payload_mul(acc, x), c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # specs
 

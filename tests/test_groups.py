@@ -182,3 +182,26 @@ def test_g4_reflection_class_order_det():
     assert all(r.det == z for r in first)
     second = [r for r in G.reflections if r.refl_class == 1]
     assert all(r.det == z * z for r in second)
+
+
+@pytest.mark.parametrize("name", ["S3", "C2", "B2"])
+def test_coinvariant_groebner_basis_matches_sympy(name):
+    # sympy's reduced lex basis of the fundamental invariants is an
+    # independent oracle for the coinvariant algebra's Buchberger basis
+    sympy = pytest.importorskip("sympy")
+    G = load_group(name)
+    co = G.coinvariant_algebra("V")
+    xs = sympy.symbols(f"x1:{G.n + 1}")
+
+    def to_sympy(f):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.payload.numerator, c.payload.denominator)
+             for e, c in f.terms.items()}, *xs, domain="QQ")
+
+    def as_set(polys):
+        return {tuple(sorted(p.monic().as_dict().items())) for p in polys}
+
+    want = sympy.groebner([to_sympy(f) for f in co.invariants], *xs,
+                          order="lex", domain="QQ")
+    assert as_set(to_sympy(g) for g in co.groebner) == as_set(want.polys)
+    assert co.dim == len(co.monomials) == G.order

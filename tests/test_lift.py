@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cherednik.algebra import CherednikParameter, ParameterError, \
-    generic_ggor, restrict_to_hyperplane
+    euler_families, generic_ggor, ggor_from_values, restrict_to_hyperplane
 from cherednik.groups import load_group
 from cherednik.lift import (
     FiniteFieldSpec,
@@ -17,12 +17,14 @@ from cherednik.lift import (
     find_submodule,
     gordon,
     head_and_radical,
+    peel,
     specialize_module,
     verma_families,
 )
 from cherednik.linalg import ExactMatrix
+from cherednik.meataxe import chop, is_isomorphic
 from cherednik.modules import GradedModule, graded_spin, quotient_module, \
-    verma_module
+    verma_character, verma_module
 from cherednik.scalars import QQ, FieldError, RationalFunctionField
 
 
@@ -244,3 +246,73 @@ def test_gordon_rejects_parameters_outside_a_field():
     G = load_group("S3")
     with pytest.raises(ParameterError):
         gordon(G, generic_ggor(G).to_cherednik())
+
+
+def oracle_cases():
+    """id -> (group, parameter, families) for the MeatAxe cross-check;
+    families None means every Euler family."""
+    S3, B2, G4 = load_group("S3"), load_group("B2"), load_group("G4")
+    return {
+        "S3_c1": (S3, CherednikParameter(S3, QQ, 0, [1]), None),
+        "B2_c12": (B2, CherednikParameter(B2, QQ, 0, [1, 2]), None),
+        "B2_hyp": (B2, restrict_to_hyperplane(B2, "k1_1-k2_1").to_cherednik(),
+                   [(3, 4, 5)]),
+        "G4_k13": (G4, ggor_from_values(G4, G4.spec, {(0, 1): 1, (0, 2): 3})
+                   .to_cherednik(), [(4,), (7,)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["S3_c1", "B2_c12", "B2_hyp", "G4_k13"])
+def test_peeled_rows_match_meataxe_oracle(case):
+    # the MeatAxe counts the composition factors of each Verma mod p by
+    # chopping it and matching every factor with the specialized heads; the
+    # count must equal the row peeled from graded characters
+    G, par, families = oracle_cases()[case]
+    if families is None:
+        families = [m for m, _ in euler_families(G, par)]
+    for members in families:
+        vermas = {}
+        fam = decompose_family(G, par, members, random.Random(0), vermas)
+        heads = {mu: specialize_module(fam.heads[mu].head, fam.spec)
+                 for mu in members}
+        for lam in members:
+            vbar = specialize_module(vermas[lam], fam.spec)
+            row = dict.fromkeys(members, 0)
+            for simple, mult in chop(vbar, random.Random(1)):
+                matches = [mu for mu in members
+                           if is_isomorphic(simple, heads[mu])]
+                assert len(matches) == 1
+                row[matches[0]] += mult
+            assert row == {mu: fam.matrix[(lam, mu)] for mu in members}
+
+
+def test_peel_needs_every_member_head():
+    # at c = 0 the simples are the irreps in degree 0, and the Verma of the
+    # 2-dimensional irrep of S3 contains all three of them
+    G = load_group("S3")
+    simples = {mu: [{0: 1} if nu == mu else {} for nu in (1, 2, 3)]
+               for mu in (1, 2, 3)}
+    chi = verma_character(G, G.irreps[2])
+    assert peel(chi, simples) == {1: 2, 2: 2, 3: 4}
+    del simples[2]
+    with pytest.raises(LiftFailure):
+        peel(chi, simples)
+
+
+def test_peel_rejects_a_character_that_does_not_peel():
+    # the trivial irrep in degree 0 plus the reflection irrep in degree 2 is
+    # no sum of shifted simples when the trivial simple is the whole trivial
+    # Verma module: taking it off leaves a negative multiplicity in degree
+    # 1, or, when the simple's extra part lies above the character's top
+    # degree, a remainder there
+    G = load_group("S3")
+    chi = [{0: 1}, {}, {2: 1}]
+    simples = {mu: [{0: 1} if nu == mu else {} for nu in (1, 2, 3)]
+               for mu in (1, 2, 3)}
+    assert peel(chi, simples) == {1: 1, 2: 0, 3: 1}
+    simples[1] = verma_character(G, G.irreps[0])
+    with pytest.raises(LiftFailure, match="irrep 3 in degree 1"):
+        peel(chi, simples)
+    simples[1] = [{0: 1, 5: 1}, {}, {}]
+    with pytest.raises(LiftFailure, match="to zero"):
+        peel(chi, simples)

@@ -95,11 +95,12 @@ def test_solve_over_function_field_by_substitution():
                     M.entries[(i, j)] = v
         x = {i: F.scalar(rng.randint(-3, 3)) + k * rng.randint(0, 1)
              for i in range(6)}
-        b = M.apply_to(x)
+        b = (M * ExactMatrix.from_columns(F, 6, [x])).column(0)
         sol = M.solve(b)
         assert sol is not None
         particular, _ = sol
-        assert M.apply_to(particular) == b
+        assert (M * ExactMatrix.from_columns(F, 6, [particular])).column(0) \
+            == b
 
 
 def test_linear_solve_requires_field():
@@ -114,4 +115,5 @@ def test_matrix_product_and_apply():
     B = ExactMatrix.from_rows(QQ, [[0, 1], [1, 0]])
     assert A * B == ExactMatrix.from_rows(QQ, [[2, 1], [4, 3]])
     col = {0: QQ.one(), 1: QQ.scalar(Fraction(1, 2))}
-    assert A.apply_to(col) == {0: QQ.scalar(2), 1: QQ.scalar(5)}
+    assert (A * ExactMatrix.from_columns(QQ, 2, [col])).column(0) \
+        == {0: QQ.scalar(2), 1: QQ.scalar(5)}

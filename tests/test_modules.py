@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cherednik.algebra import CherednikAlgebra, CherednikParameter, \
-    generic_ggor, restrict_to_hyperplane
+    generic_ggor, ggor_from_values, restrict_to_hyperplane
 from cherednik.groups import load_group
 from cherednik.linalg import ExactMatrix
 from cherednik.modules import (
@@ -17,6 +17,7 @@ from cherednik.modules import (
     quotient_module,
     spec_from_text,
     spec_to_text,
+    verma_character,
     verma_module,
     x_tables,
 )
@@ -160,6 +161,29 @@ def test_verma_generated_in_lowest_degree():
     assert span.ncols == V.dim
 
 
+def test_graded_spin_matches_matrix_closure():
+    # oracle: close the seed's span under whole-matrix products until the
+    # canonical basis stops growing
+    G, par = numeric_par("B2")
+    V = verma_module(G, par, G.irreps[4])
+    rng = random.Random(5)
+    for degree in (1, 2, 3):
+        rows = [i for i, d in enumerate(V.degrees) if d == degree]
+        seed = {i: V.spec.scalar(rng.randint(1, 5)) for i in rows}
+        want = ExactMatrix.from_columns(V.spec, V.dim, [seed])
+        while True:
+            cols = want.columns()
+            for m in V.mats:
+                cols += (m * want).columns()
+            grown = ExactMatrix.from_columns(V.spec, V.dim, cols).rcef()
+            grown = ExactMatrix.from_columns(
+                V.spec, V.dim, [c for c in grown.columns() if c])
+            if grown.ncols == want.ncols:
+                break
+            want = grown
+        assert graded_spin(V, [seed]) == grown
+
+
 def test_graded_spin_zero_seed():
     G, par = numeric_par("B2")
     V = verma_module(G, par, G.irreps[0])
@@ -206,6 +230,23 @@ def test_graded_character_poincare_consistency():
         for d, m in row.items():
             series[d] = series.get(d, 0) + m * rho.dim
     assert series == V.poincare_series()
+
+
+@pytest.mark.parametrize("name", ["S3", "B2", "G4"])
+def test_verma_character_closed_form(name):
+    # the closed form against the traces of the assembled Verma module, at
+    # c = 0 and at a nonzero point
+    G = load_group(name)
+    zero = CherednikParameter(G, G.spec, 0, [0] * G.num_reflection_classes)
+    if name == "G4":
+        point = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}) \
+            .to_cherednik()
+    else:
+        point = CherednikParameter(G, G.spec, 0, [1, 2][:len(zero.c)])
+    for par in (zero, point):
+        for rho in G.irreps:
+            assert verma_character(G, rho) \
+                == graded_character(G, verma_module(G, par, rho))
 
 
 def test_module_serialization_roundtrip():
