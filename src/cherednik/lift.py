@@ -1,15 +1,18 @@
 """Lifting finite-field data back to characteristic zero.
 
-The pipeline: draw a parameter point and a good prime, push a module over
-to F_p, find the radical there by one dual spin (a Verma module is
-generated by its degree-0 part, which stays simple mod p), record only the
-radical's field-independent shape (pivot skeleton plus the equality pattern
-of the non-pivot entries), and re-find a submodule with that shape over the
-original field by solving the linear strata of the invariance equations.
-Graded characters are unitriangular, so each Verma's decomposition row is
-peeled from its character against the heads'.  A graded spinning check and
-a zero radical of the lifted head downstairs make every answer safe:
-failures are visible, wrong answers impossible."""
+The pipeline is Las Vegas: draw a parameter point and a good prime, push a
+module over to F_p, find the radical there by one dual spin (a Verma module
+is generated by its degree-0 part, which stays simple mod p), record only
+the radical's field-independent shape (pivot skeleton plus the equality
+pattern of the non-pivot entries), and re-find a submodule with that shape
+over the original field by solving the linear strata of the invariance
+equations of the y's.  A specialization whose shape does not lift (two
+values of the radical collide mod p, say) is thrown away and another one is
+drawn, at most twelve per family.  Graded characters are unitriangular, so
+each Verma's decomposition row is peeled from its character against the
+heads'.  An invariance check of the lifted submodule and a zero radical of
+the lifted head downstairs make every answer safe: failures are visible,
+wrong answers impossible."""
 
 from __future__ import annotations
 
@@ -21,30 +24,23 @@ from .algebra import CherednikParameter, ParameterError
 from .groups import ReflectionGroup
 from .linalg import ExactMatrix
 from .meataxe import FpModule, radical
-from .modules import GradedModule, _Echelon, graded_character, \
-    graded_spin, is_invariant_subspace, quotient_module, verma_character, \
-    verma_module
+from .modules import GradedModule, graded_character, \
+    is_invariant_subspace, quotient_module, verma_character, verma_module
 from .restricted import bad_primes, is_potentially_integral
 from .scalars import FieldError, Scalar, minpoly_roots_mod_p, \
     reduce_mod_prime
-
-
-class SpecializationError(Exception):
-    def __init__(self, msg, redraw):
-        super().__init__(msg)
-        self.redraw = redraw  # "u" or "p"
 
 
 class LiftFailure(Exception):
     """The Las Vegas run did not succeed (never a wrong answer)."""
 
 
+class SpecializationError(LiftFailure):
+    """A scalar does not specialize at the drawn point or prime."""
+
+
 NO_SUBMODULE = "no-submodule"
 NOT_LINEARLY_SOLVABLE = "not-linearly-solvable"
-
-# linear blocks of the submodule search with more equations than this are
-# put off until nothing smaller makes progress
-_BLOCK_CAP = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +98,7 @@ def evaluate_scalar(s: Scalar, point) -> Scalar:
         dv = horner(den)
         if dv.is_zero():
             raise SpecializationError(
-                "denominator vanishes at the parameter point", "u")
+                "denominator vanishes at the parameter point")
         return horner(num) / dv
     raise FieldError(f"cannot evaluate a {spec.kind} scalar")
 
@@ -112,7 +108,7 @@ def scalar_to_fp(s: Scalar, ff: FiniteFieldSpec) -> int:
     try:
         return reduce_mod_prime(v, ff.p, ff.root).payload
     except FieldError as exc:
-        raise SpecializationError(str(exc), "p")
+        raise SpecializationError(str(exc))
 
 
 def specialize_module(module: GradedModule, ff: FiniteFieldSpec) -> FpModule:
@@ -275,27 +271,6 @@ def abstract_structure(matrix) -> AbstractStructure:
     return _structure_from_columns(nrows, ncols, pivots, value_at)
 
 
-def concretize(struct: AbstractStructure, theta, spec) -> ExactMatrix:
-    """Matrix cM + theta(fM); theta must be injective with nonzero values."""
-    vals = {}
-    for lab in range(1, struct.complexity + 1):
-        v = theta[lab]
-        if not isinstance(v, Scalar):
-            v = spec.scalar(v)
-        if v.is_zero():
-            raise FieldError("concretization values must be nonzero")
-        vals[lab] = v
-    if len({repr(v) for v in vals.values()}) != len(vals):
-        raise FieldError("concretization values must be pairwise distinct")
-    out = ExactMatrix(spec, struct.nrows, struct.ncols)
-    one = spec.one()
-    for j, p in enumerate(struct.pivots):
-        out.entries[(p, j)] = one
-    for (i, j), lab in struct.fine.items():
-        out.entries[(i, j)] = vals[lab]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the invariance equations and their linear cascade
 
@@ -339,41 +314,27 @@ class SubmoduleEquations:
 
     def __init__(self, module: GradedModule, struct: AbstractStructure,
                  gen_indices):
-        self.module = module
-        self.struct = struct
-        self.ring = module.spec
-        self.equations = []
-        self.built_gens = set()
-        self.col_degree = []
+        ring = module.spec
         degs = module.degrees
+        zero = ring.zero()
+        self.equations = []
+        col_degree = []
         for j in range(struct.ncols):
-            support = struct.column_support(j)
-            dset = {degs[i] for i in support}
+            dset = {degs[i] for i in struct.column_support(j)}
             if len(dset) != 1:
                 raise LiftFailure(
                     "column support mixes degrees: no graded submodule "
                     "carries this shape")
-            self.col_degree.append(dset.pop())
-        self.add_generators(gen_indices)
-
-    def add_generators(self, gen_indices):
-        ring = self.ring
-        struct = self.struct
-        degs = self.module.degrees
-        zero = ring.zero()
+            col_degree.append(dset.pop())
+        # D sets: columns of matching degree
+        targets = {}
+        for j in range(struct.ncols):
+            targets.setdefault(col_degree[j], []).append(j)
         for k in gen_indices:
-            if k in self.built_gens:
-                continue
-            self.built_gens.add(k)
-            mat = self.module.mats[k]
-            cols_of = mat.columns()
-            gdeg = self.module.gen_degrees[k]
-            # D sets: columns of matching degree
-            targets = {}
+            cols_of = module.mats[k].columns()
+            gdeg = module.gen_degrees[k]
             for j in range(struct.ncols):
-                targets.setdefault(self.col_degree[j], []).append(j)
-            for j in range(struct.ncols):
-                dkj = targets.get(gdeg + self.col_degree[j], [])
+                dkj = targets.get(gdeg + col_degree[j], [])
                 # w = X^(k) applied to the symbolic column j
                 w = {}
 
@@ -445,7 +406,6 @@ def find_submodule(module: GradedModule, struct: AbstractStructure,
     equations.  Returns the canonical basis matrix, or one of the string
     outcomes NO_SUBMODULE / NOT_LINEARLY_SOLVABLE."""
     ring = module.spec
-    all_gens = list(range(len(module.mats)))
     if gen_names:
         gset = [module.generator_index(n) for n in gen_names]
     else:
@@ -457,7 +417,6 @@ def find_submodule(module: GradedModule, struct: AbstractStructure,
     theta_val = {}
     y_val = {}
     s = struct.complexity
-    skip = set()
 
     def reduced_equations():
         lin_eqs = []
@@ -472,32 +431,35 @@ def find_submodule(module: GradedModule, struct: AbstractStructure,
             lin_eqs.append((const, lin))
         return lin_eqs
 
-    escalated = gset == all_gens
+    def store(determined):
+        new = False
+        for k, v in determined.items():
+            known = theta_val if k[0] == "t" else y_val
+            if k not in known:
+                known[k] = v
+                new = True
+        return new
+
     while len(theta_val) < s:
         lin_eqs = reduced_equations()
         if lin_eqs is None:
             return NO_SUBMODULE
         # trivial sweep: single-variable equations
-        swept = False
+        single = {}
         for const, lin in lin_eqs:
             if len(lin) == 1:
                 (k, c), = lin.items()
-                val = -const / c
-                store = theta_val if k[0] == "t" else y_val
-                if k not in store:
-                    store[k] = val
-                    swept = True
-        if swept:
+                single.setdefault(k, -const / c)
+        if store(single):
             continue
         index = {}
         for pos, (const, lin) in enumerate(lin_eqs):
             for k in lin:
                 if k[0] == "t":
                     index.setdefault(k, []).append(pos)
-        progress = False
         for q in range(1, s + 1):
             key = ("t", q)
-            if key in theta_val or key not in index or q in skip:
+            if key in theta_val or key not in index:
                 continue
             # transitive closure over shared undetermined theta variables
             chosen = set()
@@ -513,87 +475,27 @@ def find_submodule(module: GradedModule, struct: AbstractStructure,
                     for k in lin_eqs[pos][1]:
                         if k[0] == "t" and k not in seen_t:
                             frontier.add(k)
-            if not chosen:
-                continue
-            if len(chosen) > _BLOCK_CAP:
-                skip.add(q)
-                continue
-            subsystem = [lin_eqs[pos] for pos in sorted(chosen)]
-            bad, determined = _solve_linear_block(subsystem, ring)
+            bad, determined = _solve_linear_block(
+                [lin_eqs[pos] for pos in sorted(chosen)], ring)
             if bad:
                 return NO_SUBMODULE
-            new = False
-            for k, v in determined.items():
-                store = theta_val if k[0] == "t" else y_val
-                if k not in store:
-                    store[k] = v
-                    new = True
-            if new:
-                progress = True
+            if store(determined):
                 break
-        if not progress:
-            # fall back to solving every linear stratum jointly, in
-            # components over shared undetermined variables; auxiliary
-            # variables determined here feed the bilinear terms
-            comp_progress = False
-            adj = {}
-            for pos, (const, lin) in enumerate(lin_eqs):
-                for k in lin:
-                    adj.setdefault(k, []).append(pos)
-            seen_eq = set()
-            for start in sorted(adj):
-                if all(pos in seen_eq for pos in adj[start]):
-                    continue
-                comp_vars = {start}
-                comp_eqs = set()
-                frontier = [start]
-                while frontier:
-                    v = frontier.pop()
-                    for pos in adj.get(v, []):
-                        if pos in comp_eqs:
-                            continue
-                        comp_eqs.add(pos)
-                        for k in lin_eqs[pos][1]:
-                            if k not in comp_vars:
-                                comp_vars.add(k)
-                                frontier.append(k)
-                seen_eq |= comp_eqs
-                if len(comp_eqs) > _BLOCK_CAP:
-                    continue
-                bad, determined = _solve_linear_block(
-                    [lin_eqs[pos] for pos in sorted(comp_eqs)], ring)
-                if bad:
-                    return NO_SUBMODULE
-                for k, v in determined.items():
-                    store = theta_val if k[0] == "t" else y_val
-                    if k not in store:
-                        store[k] = v
-                        comp_progress = True
-            if comp_progress:
-                continue
-            if skip:
-                skip.clear()
-                continue
-            if escalated:
-                return NOT_LINEARLY_SOLVABLE
-            system.add_generators(all_gens)
-            escalated = True
+        else:
+            return NOT_LINEARLY_SOLVABLE
 
-    # assemble the candidate and confirm it really is a submodule
-    out = ExactMatrix(ring, struct.nrows, struct.ncols)
+    # the candidate is in canonical form by construction (pivots from an
+    # rcef, fine entries below their pivots and off every pivot row);
+    # confirm it really is a submodule
+    found = ExactMatrix(ring, struct.nrows, struct.ncols)
     one = ring.one()
     for j, p in enumerate(struct.pivots):
-        out.entries[(p, j)] = one
+        found.entries[(p, j)] = one
     for (i, j), lab in struct.fine.items():
         v = theta_val[("t", lab)]
         if not v.is_zero():
-            out.entries[(i, j)] = v
-    ech = _Echelon(ring)
-    for col in out.columns():
-        ech.insert(col)
-    found = ech.matrix(module.dim)
-    if found.ncols != struct.ncols \
-            or not is_invariant_subspace(module, found):
+            found.entries[(i, j)] = v
+    if not is_invariant_subspace(module, found):
         return NOT_LINEARLY_SOLVABLE
     return found
 
@@ -609,46 +511,23 @@ class HeadResult:
         self.head = head
 
 
-def head_and_radical(module: GradedModule, ff: FiniteFieldSpec, rng,
-                     retries=3) -> HeadResult:
+def head_and_radical(module: GradedModule,
+                     ff: FiniteFieldSpec) -> HeadResult:
     """Radical and simple head of a module generated by its degree-0 part,
-    which is simple downstairs: a Verma module or a quotient of one."""
-    mbar = specialize_module(module, ff)
-    rad = radical(mbar)
+    which is simple downstairs: a Verma module or a quotient of one.  The
+    radical's shape mod p is lifted by find_submodule, and a zero radical of
+    the quotient downstairs certifies the head; raises LiftFailure when this
+    specialization does not lift."""
+    rad = radical(specialize_module(module, ff))
     if not rad.shape[1]:
-        zero = ExactMatrix(module.spec, module.dim, 0)
-        return HeadResult(zero, module)
-    try:
-        struct = abstract_structure(rad)
-        found = find_submodule(module, struct)
-        if isinstance(found, str):
-            raise LiftFailure(f"submodule search: {found}")
-        quo = quotient_module(module, found)
-        qbar = specialize_module(quo.module, ff)
-        if radical(qbar).shape[1]:
-            raise LiftFailure("lifted quotient is not simple downstairs")
-        return HeadResult(found, quo.module)
-    except LiftFailure as exc:
-        if retries <= 0:
-            raise LiftFailure(str(exc))
-        # spin a random homogeneous vector and retry on the quotient:
-        # any proper submodule sits inside the radical, so the head is
-        # unchanged
-        for _ in range(8):
-            degree = rng.choice(sorted(set(module.degrees)))
-            rows = [i for i, d in enumerate(module.degrees) if d == degree]
-            v = {i: module.spec.scalar(rng.randint(-4, 4)) for i in rows}
-            v = {i: c for i, c in v.items() if not c.is_zero()}
-            if not v:
-                continue
-            sub = graded_spin(module, [v])
-            if 0 < sub.ncols < module.dim:
-                quo = quotient_module(module, sub)
-                inner = head_and_radical(quo.module, ff, rng, retries - 1)
-                lifted = quo.lift(inner.radical_basis.columns())
-                total = graded_spin(module, sub.columns() + lifted)
-                return HeadResult(total, inner.head)
-        raise LiftFailure(str(exc))
+        return HeadResult(ExactMatrix(module.spec, module.dim, 0), module)
+    found = find_submodule(module, abstract_structure(rad))
+    if isinstance(found, str):
+        raise LiftFailure(f"submodule search: {found}")
+    quo = quotient_module(module, found)
+    if radical(specialize_module(quo.module, ff)).shape[1]:
+        raise LiftFailure("lifted quotient is not simple downstairs")
+    return HeadResult(found, quo.module)
 
 
 def peel(character, simples):
@@ -686,17 +565,19 @@ class FamilyDecomposition:
 
 
 # specializations drawn per family before decompose_family gives up
-_MAX_DRAWS = 5
+_MAX_DRAWS = 12
 
 
 def decompose_family(group: ReflectionGroup, par: CherednikParameter,
                      members, rng, vermas=None) -> FamilyDecomposition:
     """Heads and the decomposition matrix of a constituent-closed family of
-    standard modules (1-based irrep indices), from at most five
-    specializations.  Each row comes from peeling the Verma's graded
-    character (closed form) against the heads' graded characters.  Vermas
-    built here are added to ``vermas``; the prime window depends on this
-    family's Verma dimensions only."""
+    standard modules (1-based irrep indices).  A specialization that does
+    not lift is thrown away and another is drawn, at most twelve in all;
+    the LiftFailure raised then names every draw and its reason.  Each row
+    comes from peeling the Verma's graded character (closed form) against
+    the heads' graded characters.  Vermas built here are added to
+    ``vermas``; the prime window depends on this family's Verma dimensions
+    only."""
     if vermas is None:
         vermas = {}
     for lam in members:
@@ -704,11 +585,11 @@ def decompose_family(group: ReflectionGroup, par: CherednikParameter,
             vermas[lam] = verma_module(group, par,
                                        group.irreps[lam - 1])
     maxdim = max(vermas[lam].dim for lam in members)
-    last = None
+    draws = []
     for _ in range(_MAX_DRAWS):
         ff = draw_specialization(group, par, maxdim, rng)
         try:
-            heads = {lam: head_and_radical(vermas[lam], ff, rng)
+            heads = {lam: head_and_radical(vermas[lam], ff)
                      for lam in members}
             characters = {lam: graded_character(group, heads[lam].head)
                           for lam in members}
@@ -719,10 +600,10 @@ def decompose_family(group: ReflectionGroup, par: CherednikParameter,
                 matrix.update(((lam, mu), row[mu]) for mu in members)
             return FamilyDecomposition(members, heads, characters, matrix,
                                        ff)
-        except (LiftFailure, SpecializationError) as exc:
-            last = exc
-    raise LiftFailure(f"family {members}: no success within "
-                      f"{_MAX_DRAWS} draws ({last})")
+        except LiftFailure as exc:
+            draws.append(f"{ff}: {exc}")
+    raise LiftFailure(f"family {members}: no success within {_MAX_DRAWS} "
+                      f"draws: {'; '.join(draws)}")
 
 
 def gordon(group: ReflectionGroup, par: CherednikParameter,
@@ -733,8 +614,8 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
     families: optional 1-based index tuple selecting one Euler family;
     otherwise every family is processed, and the record also carries the
     full decomposition matrix and the CM families.  Each family gets at
-    most five specializations; the submodule search uses the y's first.
-    Deterministic given the seed.  Raises ParameterError when the
+    most twelve specializations: one that does not lift is redrawn.  The
+    submodule search uses the y's only.  Deterministic given the seed.  Raises ParameterError when the
     parameter ring is not a field, and LiftFailure naming the families
     that did not complete."""
     from .records import GordonRecord, family_text, poly_in_t
@@ -764,7 +645,7 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
     for members in run_list:
         try:
             fam = decompose_family(group, par, members, rng, vermas=vermas)
-        except (LiftFailure, SpecializationError) as exc:
+        except LiftFailure as exc:
             failures.append((members, str(exc)))
             continue
         u_txt = ",".join(f"{k}={v!r}" for k, v in sorted(fam.spec.u.items()))

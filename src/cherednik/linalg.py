@@ -249,15 +249,3 @@ class ExactMatrix:
                 particular[p] = v
         return particular, self.nullspace()
 
-
-def linear_solve_and_echelon(M: ExactMatrix, mode: str, rhs=None):
-    """Module surface: solve(rhs) | rcef | nullspace."""
-    if not M.spec.is_field:
-        raise FieldError("linear algebra requires a field spec")
-    if mode == "solve":
-        return M.solve(rhs if rhs is not None else {})
-    if mode == "rcef":
-        return M.rcef()
-    if mode == "nullspace":
-        return M.nullspace()
-    raise FieldError(f"unknown mode {mode!r}")

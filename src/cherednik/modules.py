@@ -289,12 +289,11 @@ def is_invariant_subspace(module: GradedModule, basis: ExactMatrix) -> bool:
 class Quotient:
     """A graded quotient module together with its projection data."""
 
-    __slots__ = ("module", "kept_rows", "sub_basis", "_pivot_of")
+    __slots__ = ("module", "kept_rows", "_pivot_of")
 
     def __init__(self, module, kept_rows, sub_basis):
         self.module = module
         self.kept_rows = kept_rows
-        self.sub_basis = sub_basis
         pivots = {min(col): col for col in sub_basis.columns()}
         self._pivot_of = [(p, pivots[p]) for p in sorted(pivots)]
 
@@ -306,14 +305,6 @@ class Quotient:
                 v = _vec_sub_scaled(v, col, v[p])
         pos = {r: i for i, r in enumerate(self.kept_rows)}
         return {pos[i]: c for i, c in v.items() if not c.is_zero()}
-
-    def lift(self, subcolumns):
-        """Preimage columns in the big module (one section per kept row)."""
-        out = []
-        for col in subcolumns:
-            big = {self.kept_rows[i]: c for i, c in col.items()}
-            out.append(big)
-        return out
 
 
 def quotient_module(module: GradedModule, sub: ExactMatrix) -> Quotient:
@@ -345,12 +336,12 @@ def quotient_module(module: GradedModule, sub: ExactMatrix) -> Quotient:
 # ---------------------------------------------------------------------------
 # graded characters
 
-def _element_blocks(group, module: GradedModule, degree_rows):
-    """Matrices of every group element on one degree block, built from the
-    generator blocks along the enumeration words."""
+def _element_blocks(group, module: GradedModule, degree_rows, elements):
+    """Matrices of the given group elements on one degree block, built from
+    the generator blocks along the enumeration words; only the elements and
+    their ancestors in ``group.parent_edge`` are multiplied out."""
     spec = module.spec
     pos = {r: i for i, r in enumerate(degree_rows)}
-    blocks = {}
     gen_offset = group.n  # y's first
     gblocks = []
     for gi in range(len(group.gens)):
@@ -360,27 +351,26 @@ def _element_blocks(group, module: GradedModule, degree_rows):
             if r in pos and c in pos:
                 b.entries[(pos[r], pos[c])] = v
         gblocks.append(b)
-    ident = ExactMatrix.identity(spec, len(degree_rows))
-    blocks[group.identity] = ident
-    for idx in group.bfs_order:
-        if idx in blocks:
-            continue
-        parent, gi = group.parent_edge[idx]
-        blocks[idx] = blocks[parent] * gblocks[gi]
-    return blocks
+    blocks = {group.identity: ExactMatrix.identity(spec, len(degree_rows))}
+
+    def block(idx):
+        if idx not in blocks:
+            parent, gi = group.parent_edge[idx]
+            blocks[idx] = block(parent) * gblocks[gi]
+        return blocks[idx]
+
+    return [block(idx) for idx in elements]
 
 
 def graded_character(group: ReflectionGroup, module: GradedModule):
     """Multiplicity of each irreducible in each degree: a list (one row per
     irrep, in the group's label order) of {degree: multiplicity}."""
     spec = module.spec
-    by_degree = module.by_degree()
+    reps = [cls[0] for cls in group.conj_classes]
     class_traces = {}  # degree -> list over classes
-    for dgr, rows in sorted(by_degree.items()):
-        blocks = _element_blocks(group, module, rows)
+    for dgr, rows in sorted(module.by_degree().items()):
         traces = []
-        for cls in group.conj_classes:
-            b = blocks[cls[0]]
+        for b in _element_blocks(group, module, rows, reps):
             tr = spec.zero()
             for i in range(len(rows)):
                 tr = tr + b[(i, i)]

@@ -1,16 +1,15 @@
 import random
 
-import numpy as np
 import pytest
 
 from cherednik.algebra import CherednikParameter, ParameterError, \
     euler_families, generic_ggor, ggor_from_values, restrict_to_hyperplane
 from cherednik.groups import load_group
 from cherednik.lift import (
+    NOT_LINEARLY_SOLVABLE,
     FiniteFieldSpec,
     LiftFailure,
     abstract_structure,
-    concretize,
     decompose_family,
     draw_specialization,
     evaluate_scalar,
@@ -22,10 +21,9 @@ from cherednik.lift import (
     verma_families,
 )
 from cherednik.linalg import ExactMatrix
-from cherednik.meataxe import chop, is_isomorphic
-from cherednik.modules import GradedModule, graded_spin, quotient_module, \
-    verma_character, verma_module
-from cherednik.scalars import QQ, FieldError, RationalFunctionField
+from cherednik.meataxe import chop, is_isomorphic, radical
+from cherednik.modules import GradedModule, verma_character, verma_module
+from cherednik.scalars import QQ, RationalFunctionField
 
 
 def test_worked_structure_example():
@@ -68,23 +66,6 @@ def test_structure_invariant_under_value_relabeling():
             else:
                 M2.entries[(i, j)] = v * 3 + 1
         assert abstract_structure(M2) == A
-
-
-def test_concretize_roundtrip():
-    M = ExactMatrix.from_rows(QQ, [[1, 0], [0, 1], [2, 1], [1, 4]])
-    A = abstract_structure(M)
-    theta = {1: QQ.scalar(2), 2: QQ.one(), 3: QQ.scalar(4)}
-    assert concretize(A, theta, QQ) == M
-    assert abstract_structure(concretize(A, theta, QQ)) == A
-    with pytest.raises(FieldError):
-        concretize(A, {1: 1, 2: 1, 3: 4}, QQ)
-    with pytest.raises(FieldError):
-        concretize(A, {1: 0, 2: 1, 3: 4}, QQ)
-
-
-def test_concretize_complexity_zero():
-    A = abstract_structure(ExactMatrix.identity(QQ, 2))
-    assert concretize(A, {}, QQ) == ExactMatrix.identity(QQ, 2)
 
 
 def test_specialize_scalar_paths():
@@ -248,17 +229,76 @@ def test_gordon_rejects_parameters_outside_a_field():
         gordon(G, generic_ggor(G).to_cherednik())
 
 
+def g4_k13():
+    G = load_group("G4")
+    return G, ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}) \
+        .to_cherednik()
+
+
+def test_head_and_radical_fails_where_the_radical_collides_mod_p():
+    # the radical of the Verma module of irrep 7 at k = (1,3) has 20 distinct
+    # values; mod 157 two of them coincide, so its shape there has no lift,
+    # while mod 241 the head is a simple of dimension |W| = 24
+    G, par = g4_k13()
+    V = verma_module(G, par, G.irreps[6])
+    with pytest.raises(LiftFailure):
+        head_and_radical(V, FiniteFieldSpec(157, 12, {}))
+    res = head_and_radical(V, FiniteFieldSpec(241, 15, {}))
+    assert res.head.dim == 24
+    assert res.radical_basis.ncols == 48
+
+
+def test_gordon_redraws_a_specialization_that_does_not_lift():
+    # with seed 1 the first draw for family {7} is the prime 157, where
+    # the radical does not lift
+    G, par = g4_k13()
+    first = draw_specialization(G, par, 72, random.Random(1))
+    assert (first.p, first.root) == (157, 12)
+    rec = gordon(G, par, families=(7,), seed=1)
+    (_, p, _, _), = rec.specializations
+    assert p != 157
+    assert rec.simple_dims == {7: 24}
+
+
+def test_find_submodule_rejects_a_candidate_that_is_not_invariant():
+    # at k = 17 the parameter vanishes mod 17: the y's fix every value of
+    # the radical's shape there, but the candidate they give is not a
+    # submodule, and the failure is a typed one
+    G = load_group("B2")
+    par = restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
+    V = verma_module(G, par, G.irreps[1])
+    ff = FiniteFieldSpec(17, 0, {"k": G.spec.scalar(17)})
+    struct = abstract_structure(radical(specialize_module(V, ff)))
+    assert find_submodule(V, struct) == NOT_LINEARLY_SOLVABLE
+    with pytest.raises(LiftFailure, match="not-linearly-solvable"):
+        head_and_radical(V, ff)
+
+
+def test_decompose_family_names_every_draw(monkeypatch):
+    def fail(module, ff):
+        raise LiftFailure("planted")
+
+    monkeypatch.setattr("cherednik.lift.head_and_radical", fail)
+    G = load_group("S3")
+    par = CherednikParameter(G, QQ, 0, [1])
+    with pytest.raises(LiftFailure, match="within 12 draws") as info:
+        decompose_family(G, par, (1,), random.Random(0))
+    draws = str(info.value).split("; ")
+    assert len(draws) == 12
+    assert all("p=" in d and "root=" in d and "u=" in d
+               and d.endswith(": planted") for d in draws)
+
+
 def oracle_cases():
     """id -> (group, parameter, families) for the MeatAxe cross-check;
     families None means every Euler family."""
-    S3, B2, G4 = load_group("S3"), load_group("B2"), load_group("G4")
+    S3, B2 = load_group("S3"), load_group("B2")
     return {
         "S3_c1": (S3, CherednikParameter(S3, QQ, 0, [1]), None),
         "B2_c12": (B2, CherednikParameter(B2, QQ, 0, [1, 2]), None),
         "B2_hyp": (B2, restrict_to_hyperplane(B2, "k1_1-k2_1").to_cherednik(),
                    [(3, 4, 5)]),
-        "G4_k13": (G4, ggor_from_values(G4, G4.spec, {(0, 1): 1, (0, 2): 3})
-                   .to_cherednik(), [(4,), (7,)]),
+        "G4_k13": (*g4_k13(), [(4,), (7,)]),
     }
 
 

@@ -1,10 +1,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from cherednik.linalg import ExactMatrix, linear_solve_and_echelon
-from cherednik.scalars import QQ, FieldError, PolyRing, RationalFunctionField
+from cherednik.linalg import ExactMatrix
+from cherednik.scalars import QQ, RationalFunctionField
 
 
 def rand_matrix(spec, rng, n, m, density=0.7):
@@ -101,13 +99,6 @@ def test_solve_over_function_field_by_substitution():
         particular, _ = sol
         assert (M * ExactMatrix.from_columns(F, 6, [particular])).column(0) \
             == b
-
-
-def test_linear_solve_requires_field():
-    R = PolyRing(QQ, ["a"])
-    M = ExactMatrix.identity(R, 2)
-    with pytest.raises(FieldError):
-        linear_solve_and_echelon(M, "rcef")
 
 
 def test_matrix_product_and_apply():
