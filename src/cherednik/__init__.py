@@ -2,10 +2,10 @@
 
 Scalar tower and linear algebra, reflection groups with coinvariant
 algebras, PBW-form products, Verma modules for the restricted algebra,
-and the lifting pipeline that recovers heads and decomposition matrices in
-characteristic zero from finite-field data.  Mod p, a Verma module's
-radical is one dual spin; a specialization whose radical does not lift is
-redrawn, and decomposition matrices are peeled from graded characters.
+and their heads and decomposition matrices in characteristic zero.  A
+Verma module's radical is one exact dual spin, and decomposition matrices
+are peeled from graded characters.  The paper's Las Vegas lift from
+finite-field data, and the MeatAxe, stay as the tests' independent checks.
 """
 
 from .scalars import (

@@ -1,18 +1,21 @@
-"""Lifting finite-field data back to characteristic zero.
+"""Heads and decomposition matrices of baby Verma modules in
+characteristic zero, and the paper's Las Vegas lift as their independent
+check.
 
-The pipeline is Las Vegas: draw a parameter point and a good prime, push a
-module over to F_p, find the radical there by one dual spin (a Verma module
-is generated by its degree-0 part, which stays simple mod p), record only
-the radical's field-independent shape (pivot skeleton plus the equality
-pattern of the non-pivot entries), and re-find a submodule with that shape
-over the original field by solving the linear strata of the invariance
-equations of the y's.  A specialization whose shape does not lift (two
-values of the radical collide mod p, say) is thrown away and another one is
-drawn, at most twelve per family.  Graded characters are unitriangular, so
-each Verma's decomposition row is peeled from its character against the
-heads'.  An invariance check of the lifted submodule and a zero radical of
-the lifted head downstairs make every answer safe: failures are visible,
-wrong answers impossible."""
+A baby Verma module is graded and generated by its simple degree-0 part
+(Gordon 2003), so every proper submodule has zero degree-0 part and the
+radical is the common kernel of the degree-0 coordinate functionals spun
+under the transposed action: one graded spin and one nullspace, exact over
+the parameter's field, with no prime and no draw.  Graded characters are
+unitriangular, so each Verma's decomposition row is peeled from its
+character against the heads'.
+
+The paper's algorithm stays here as an oracle that ``gordon`` does not
+call: draw a parameter point and a good prime, push a module over to F_p,
+take its radical there, record only the radical's field-independent shape
+(pivot skeleton plus the equality pattern of the non-pivot entries), and
+re-find a submodule with that shape over the original field by solving the
+linear strata of the invariance equations of the y's."""
 
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ import numpy as np
 from .algebra import CherednikParameter, ParameterError
 from .groups import ReflectionGroup
 from .linalg import ExactMatrix
-from .meataxe import FpModule, radical
-from .modules import GradedModule, graded_character, \
+from .meataxe import FpModule
+from .modules import GradedModule, graded_character, graded_spin, \
     is_invariant_subspace, quotient_module, verma_character, verma_module
 from .restricted import bad_primes, is_potentially_integral
 from .scalars import FieldError, Scalar, minpoly_roots_mod_p, \
@@ -133,7 +136,9 @@ def _primes_in(lo, hi):
 def draw_specialization(group: ReflectionGroup, par: CherednikParameter,
                         dim: int, rng: random.Random) -> FiniteFieldSpec:
     """Prime from (dim, 10 dim) splitting the base field and avoiding the
-    bad set; u over small-height integers, kept potentially integral."""
+    bad set; u over small-height integers, kept potentially integral, and
+    no nonzero parameter value may reduce to 0 mod p (that would be the
+    specialization of another parameter)."""
     bad = bad_primes(group)
     K = group.spec
     candidates = []
@@ -158,6 +163,9 @@ def draw_specialization(group: ReflectionGroup, par: CherednikParameter,
         except SpecializationError:
             continue
         if not is_potentially_integral(group, evaluated, p):
+            continue
+        if any(not v.is_zero() and reduce_mod_prime(e, p, root).is_zero()
+               for v, e in zip(par.c, evaluated.c)):
             continue
         return FiniteFieldSpec(p, root, u)
     raise LiftFailure("could not draw an admissible specialization")
@@ -511,23 +519,22 @@ class HeadResult:
         self.head = head
 
 
-def head_and_radical(module: GradedModule,
-                     ff: FiniteFieldSpec) -> HeadResult:
-    """Radical and simple head of a module generated by its degree-0 part,
-    which is simple downstairs: a Verma module or a quotient of one.  The
-    radical's shape mod p is lifted by find_submodule, and a zero radical of
-    the quotient downstairs certifies the head; raises LiftFailure when this
-    specialization does not lift."""
-    rad = radical(specialize_module(module, ff))
-    if not rad.shape[1]:
-        return HeadResult(ExactMatrix(module.spec, module.dim, 0), module)
-    found = find_submodule(module, abstract_structure(rad))
-    if isinstance(found, str):
-        raise LiftFailure(f"submodule search: {found}")
-    quo = quotient_module(module, found)
-    if radical(specialize_module(quo.module, ff)).shape[1]:
-        raise LiftFailure("lifted quotient is not simple downstairs")
-    return HeadResult(found, quo.module)
+def head_and_radical(module: GradedModule) -> HeadResult:
+    """Radical and head of a module generated by a simple lowest-degree
+    part, such as a baby Verma module.  Every proper submodule then has
+    zero lowest-degree part, so the radical is the largest such submodule:
+    the common kernel of the lowest-degree coordinate functionals spun
+    under the transposed action, and the head is simple.  Exact over the
+    module's field, which must be a field for the nullspace; the premise on
+    the lowest-degree part is the caller's."""
+    low = min(module.degrees)
+    one = module.spec.one()
+    seeds = [{i: one} for i, d in enumerate(module.degrees) if d == low]
+    dual = graded_spin(module.transpose(), seeds)
+    rad = dual.transpose().nullspace()
+    if not rad.ncols:
+        return HeadResult(rad, module)
+    return HeadResult(rad, quotient_module(module, rad).module)
 
 
 def peel(character, simples):
@@ -554,56 +561,36 @@ def peel(character, simples):
 
 
 class FamilyDecomposition:
-    __slots__ = ("members", "heads", "characters", "matrix", "spec")
+    __slots__ = ("members", "heads", "characters", "matrix")
 
-    def __init__(self, members, heads, characters, matrix, spec):
+    def __init__(self, members, heads, characters, matrix):
         self.members = list(members)
         self.heads = heads            # {member: HeadResult}
         self.characters = characters  # {member: graded character of head}
         self.matrix = matrix          # {(row member, col member): int}
-        self.spec = spec
-
-
-# specializations drawn per family before decompose_family gives up
-_MAX_DRAWS = 12
 
 
 def decompose_family(group: ReflectionGroup, par: CherednikParameter,
-                     members, rng, vermas=None) -> FamilyDecomposition:
+                     members, vermas=None) -> FamilyDecomposition:
     """Heads and the decomposition matrix of a constituent-closed family of
-    standard modules (1-based irrep indices).  A specialization that does
-    not lift is thrown away and another is drawn, at most twelve in all;
-    the LiftFailure raised then names every draw and its reason.  Each row
-    comes from peeling the Verma's graded character (closed form) against
-    the heads' graded characters.  Vermas built here are added to
-    ``vermas``; the prime window depends on this family's Verma dimensions
-    only."""
+    standard modules (1-based irrep indices).  Each row comes from peeling
+    the Verma's graded character (closed form) against the heads' graded
+    characters; a character that does not peel raises LiftFailure.  Vermas
+    built here are added to ``vermas``."""
     if vermas is None:
         vermas = {}
     for lam in members:
         if lam not in vermas:
             vermas[lam] = verma_module(group, par,
                                        group.irreps[lam - 1])
-    maxdim = max(vermas[lam].dim for lam in members)
-    draws = []
-    for _ in range(_MAX_DRAWS):
-        ff = draw_specialization(group, par, maxdim, rng)
-        try:
-            heads = {lam: head_and_radical(vermas[lam], ff)
-                     for lam in members}
-            characters = {lam: graded_character(group, heads[lam].head)
-                          for lam in members}
-            matrix = {}
-            for lam in members:
-                row = peel(verma_character(group, group.irreps[lam - 1]),
-                           characters)
-                matrix.update(((lam, mu), row[mu]) for mu in members)
-            return FamilyDecomposition(members, heads, characters, matrix,
-                                       ff)
-        except LiftFailure as exc:
-            draws.append(f"{ff}: {exc}")
-    raise LiftFailure(f"family {members}: no success within {_MAX_DRAWS} "
-                      f"draws: {'; '.join(draws)}")
+    heads = {lam: head_and_radical(vermas[lam]) for lam in members}
+    characters = {lam: graded_character(group, heads[lam].head)
+                  for lam in members}
+    matrix = {}
+    for lam in members:
+        row = peel(verma_character(group, group.irreps[lam - 1]), characters)
+        matrix.update(((lam, mu), row[mu]) for mu in members)
+    return FamilyDecomposition(members, heads, characters, matrix)
 
 
 def gordon(group: ReflectionGroup, par: CherednikParameter,
@@ -613,27 +600,26 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
 
     families: optional 1-based index tuple selecting one Euler family;
     otherwise every family is processed, and the record also carries the
-    full decomposition matrix and the CM families.  Each family gets at
-    most twelve specializations: one that does not lift is redrawn.  The
-    submodule search uses the y's only.  Deterministic given the seed.  Raises ParameterError when the
-    parameter ring is not a field, and LiftFailure naming the families
-    that did not complete."""
+    full decomposition matrix and the CM families.  The run is exact and
+    draws nothing, so ``seed`` is accepted and ignored.  Raises
+    ParameterError when the parameter ring is not a field or ``families``
+    is not an Euler family, and LiftFailure naming the families whose
+    decomposition rows did not peel."""
     from .records import GordonRecord, family_text, poly_in_t
     from .algebra import euler_families as _euler_families
 
     if not par.ring.is_field:
         raise ParameterError(f"parameters over {par.ring} are not a field; "
                              "use a point or a one-variable function field")
-    rng = random.Random(seed)
     fams = sorted(_euler_families(group, par), key=lambda t: min(t[0]))
-    record = GordonRecord(group.name, hyperplane_text, seed)
+    record = GordonRecord(group.name, hyperplane_text)
     record.num_irreps = len(group.irreps)
     record.euler_families = [(m, repr(s)) for m, s in fams]
     if families is not None:
         wanted = set(families)
         matches = [m for m, _ in fams if set(m) == wanted]
         if not matches:
-            raise LiftFailure(
+            raise ParameterError(
                 f"{sorted(wanted)} is not an Euler family here "
                 f"(families: {[m for m, _ in fams]})")
         run_list = matches
@@ -644,13 +630,10 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
     failures = []
     for members in run_list:
         try:
-            fam = decompose_family(group, par, members, rng, vermas=vermas)
+            fam = decompose_family(group, par, members, vermas=vermas)
         except LiftFailure as exc:
             failures.append((members, str(exc)))
             continue
-        u_txt = ",".join(f"{k}={v!r}" for k, v in sorted(fam.spec.u.items()))
-        record.specializations.append(
-            (members, fam.spec.p, fam.spec.root, u_txt))
         for lam in members:
             head = fam.heads[lam].head
             record.simple_dims[lam] = head.dim

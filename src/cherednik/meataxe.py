@@ -1,9 +1,12 @@
-"""Module arithmetic over prime fields: the radical of a module generated
-by a simple lowest-degree part, one dual spin and all that ``lift`` uses,
-and the MeatAxe (Norton's irreducibility test with minimal polynomials,
-composition series, homomorphism spaces via spinning relations, isomorphism
-testing), the tests' independent oracle for the decomposition numbers that
-``lift`` peels from graded characters.
+"""Module arithmetic over prime fields, the tests' independent oracles for
+what ``lift`` computes exactly in characteristic zero: the radical of a
+module generated by a simple lowest-degree part (one dual spin), whose
+shape the paper's Las Vegas lift carries back up and compares with the
+exact radical, and the MeatAxe (Norton's irreducibility test with minimal
+polynomials, composition series, homomorphism spaces via spinning
+relations, isomorphism testing), which checks the decomposition numbers
+that ``lift`` peels from graded characters.  No ``gordon`` run calls this
+module.
 
 All matrices are dense numpy int64 arrays reduced mod p.  Every random draw
 comes from an explicitly seeded generator, so identical seeds reproduce

@@ -15,8 +15,7 @@ from __future__ import annotations
 from .algebra import CherednikParameter, commutator_telescope
 from .groups import Irrep, ReflectionGroup
 from .linalg import ExactMatrix
-from .scalars import NumberField, PolyRing, PrimeField, QQ, \
-    RationalFunctionField, as_integer, parse_scalar
+from .scalars import as_integer
 
 
 class ModuleError(Exception):
@@ -62,6 +61,13 @@ class GradedModule:
 
     def generator_index(self, name):
         return self.gen_names.index(name)
+
+    def transpose(self):
+        """The dual action: transposed matrices, negated generator degrees
+        (a functional on degree d is carried to degree d - g)."""
+        return GradedModule(self.spec, self.degrees, self.gen_names,
+                            [-d for d in self.gen_degrees],
+                            [m.transpose() for m in self.mats])
 
     def __repr__(self):
         return (f"GradedModule(dim={self.dim}, generator degrees "
@@ -482,88 +488,3 @@ def check_module_relations(group: ReflectionGroup, par: CherednikParameter,
             if not acc.is_zero():
                 return fail(f"invariant nilpotency on {side}")
     return (True, None)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def spec_to_text(spec) -> str:
-    if spec.kind == "rationals":
-        return "rationals"
-    if spec.kind == "number-field":
-        coeffs = ",".join(str(c) for c in spec.minpoly)
-        return f"numberfield({spec.gen_name};{coeffs})"
-    if spec.kind == "poly-ring":
-        return f"polyring({spec_to_text(spec.base)};{','.join(spec.names)})"
-    if spec.kind == "rational-function-field":
-        return f"funfield({spec_to_text(spec.base)};{spec.name})"
-    if spec.kind == "prime-field":
-        return f"primefield({spec.p})"
-    raise ModuleError(f"unknown spec kind {spec.kind}")
-
-
-def spec_from_text(text: str):
-    text = text.strip()
-    if text == "rationals":
-        return QQ
-    if text.startswith("numberfield(") and text.endswith(")"):
-        name, coeffs = text[len("numberfield("):-1].split(";")
-        return NumberField(tuple(int(c) for c in coeffs.split(",")), name)
-    if text.startswith("polyring(") and text.endswith(")"):
-        inner = text[len("polyring("):-1]
-        base, names = _split_spec_args(inner)
-        return PolyRing(spec_from_text(base), names.split(","))
-    if text.startswith("funfield(") and text.endswith(")"):
-        inner = text[len("funfield("):-1]
-        base, name = _split_spec_args(inner)
-        return RationalFunctionField(spec_from_text(base), name)
-    if text.startswith("primefield(") and text.endswith(")"):
-        return PrimeField(int(text[len("primefield("):-1]))
-    raise ModuleError(f"cannot parse spec {text!r}")
-
-
-def _split_spec_args(inner: str):
-    depth = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == ";" and depth == 0:
-            return inner[:i], inner[i + 1:]
-    raise ModuleError(f"malformed spec arguments {inner!r}")
-
-
-def module_to_text(module: GradedModule) -> str:
-    lines = ["gradedmodule",
-             f"field {spec_to_text(module.spec)}",
-             f"dim {module.dim}",
-             "degrees " + " ".join(str(d) for d in module.degrees),
-             "generators " + " ".join(
-                 f"{n}:{d}" for n, d in zip(module.gen_names,
-                                            module.gen_degrees))]
-    for k, m in enumerate(module.mats):
-        for (i, j) in sorted(m.entries):
-            v = repr(m.entries[(i, j)]).replace(" ", "")
-            lines.append(f"entry {k} {i} {j} {v}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def module_from_text(text: str) -> GradedModule:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0].strip() != "gradedmodule":
-        raise ModuleError("not a graded module file")
-    spec = spec_from_text(lines[1].split(None, 1)[1])
-    dim = int(lines[2].split()[1])
-    degrees = [int(t) for t in lines[3].split()[1:]]
-    gens = [t.rsplit(":", 1) for t in lines[4].split()[1:]]
-    gen_names = [g[0] for g in gens]
-    gen_degrees = [int(g[1]) for g in gens]
-    mats = [ExactMatrix(spec, dim, dim) for _ in gen_names]
-    for ln in lines[5:]:
-        if ln.strip() == "end":
-            break
-        _, k, i, j, v = ln.split(None, 4)
-        mats[int(k)].entries[(int(i), int(j))] = parse_scalar(v, spec)
-    return GradedModule(spec, degrees, gen_names, gen_degrees, mats)

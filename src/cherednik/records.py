@@ -32,10 +32,9 @@ def parse_family(text):
 
 
 class GordonRecord:
-    def __init__(self, group, hyperplane, seed=None):
+    def __init__(self, group, hyperplane):
         self.group = group
         self.hyperplane = hyperplane
-        self.seed = seed
         self.num_irreps = None
         self.euler_families = []      # [(members tuple, scalar string)]
         self.simple_dims = {}         # 1-based irrep index -> int
@@ -43,7 +42,6 @@ class GordonRecord:
         self.simple_graded = {}       # idx -> list of strings per irrep
         self.verma_decomposition = {}  # (i, j) -> int
         self.cm_families = None       # list of tuples, or None if partial
-        self.specializations = []     # [(members, p, root, u string)]
 
     # -- invariants -----------------------------------------------------------
     def validate(self):
@@ -74,8 +72,6 @@ class GordonRecord:
     def to_text(self) -> str:
         lines = ["GordonRecord", f"Group: {self.group}",
                  f"Hyperplane: {self.hyperplane}"]
-        if self.seed is not None:
-            lines.append(f"Seed: {self.seed}")
         if self.num_irreps is not None:
             lines.append(f"Irreps: {self.num_irreps}")
         if self.euler_families:
@@ -106,11 +102,6 @@ class GordonRecord:
                             for f in sorted(self.cm_families,
                                             key=lambda t: min(t)))
             lines.append(f"CMFamilies: {fams}")
-        if self.specializations:
-            lines.append("Specializations:")
-            for members, p, root, u in self.specializations:
-                lines.append(f"  {family_text(members)}: p={p} root={root} "
-                             f"u=[{u}]")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -131,16 +122,13 @@ class GordonRecord:
                     rec.group = rest
                 elif head == "Hyperplane":
                     rec.hyperplane = rest
-                elif head == "Seed":
-                    rec.seed = int(rest)
                 elif head == "Irreps":
                     rec.num_irreps = int(rest)
                 elif head == "CMFamilies":
                     rec.cm_families = [parse_family(t)
                                        for t in rest.split()]
                 elif head in ("EulerFamilies", "SimpleDims", "SimplePSeries",
-                              "SimpleGradedGModStruct", "VermaDecomposition",
-                              "Specializations"):
+                              "SimpleGradedGModStruct", "VermaDecomposition"):
                     section = head
                 else:
                     raise ValueError(f"unknown record field {head!r}")
@@ -163,11 +151,6 @@ class GordonRecord:
             elif section == "VermaDecomposition":
                 i, j, m = body.split()
                 rec.verma_decomposition[(int(i), int(j))] = int(m)
-            elif section == "Specializations":
-                fam, _, rest = body.partition(":")
-                p, root, u = rest.split(None, 2)
-                rec.specializations.append((parse_family(fam), int(p[2:]),
-                                            int(root[5:]), u[3:-1]))
             else:
                 raise ValueError(f"stray record line {ln!r}")
         return rec

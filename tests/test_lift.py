@@ -6,6 +6,7 @@ from cherednik.algebra import CherednikParameter, ParameterError, \
     euler_families, generic_ggor, ggor_from_values, restrict_to_hyperplane
 from cherednik.groups import load_group
 from cherednik.lift import (
+    NO_SUBMODULE,
     NOT_LINEARLY_SOLVABLE,
     FiniteFieldSpec,
     LiftFailure,
@@ -23,7 +24,7 @@ from cherednik.lift import (
 from cherednik.linalg import ExactMatrix
 from cherednik.meataxe import chop, is_isomorphic, radical
 from cherednik.modules import GradedModule, verma_character, verma_module
-from cherednik.scalars import QQ, RationalFunctionField
+from cherednik.scalars import QQ, RationalFunctionField, reduce_mod_prime
 
 
 def test_worked_structure_example():
@@ -223,7 +224,7 @@ def test_gordon_b2_hyperplane_family():
 
 def test_gordon_rejects_parameters_outside_a_field():
     # the generic S3 parameter lives in a polynomial ring, where the
-    # submodule search cannot divide
+    # radical's nullspace cannot divide
     G = load_group("S3")
     with pytest.raises(ParameterError):
         gordon(G, generic_ggor(G).to_cherednik())
@@ -235,29 +236,28 @@ def g4_k13():
         .to_cherednik()
 
 
-def test_head_and_radical_fails_where_the_radical_collides_mod_p():
+def test_gordon_rejects_a_family_that_is_not_an_euler_family():
+    # at c = 1 every S3 family is a singleton
+    G = load_group("S3")
+    with pytest.raises(ParameterError, match="not an Euler family"):
+        gordon(G, CherednikParameter(G, QQ, 0, [1]), families=(1, 2))
+
+
+def test_find_submodule_fails_where_the_radical_collides_mod_p():
     # the radical of the Verma module of irrep 7 at k = (1,3) has 20 distinct
     # values; mod 157 two of them coincide, so its shape there has no lift,
-    # while mod 241 the head is a simple of dimension |W| = 24
+    # while mod 241 the lift is the exact radical, of codimension |W| = 24
     G, par = g4_k13()
     V = verma_module(G, par, G.irreps[6])
-    with pytest.raises(LiftFailure):
-        head_and_radical(V, FiniteFieldSpec(157, 12, {}))
-    res = head_and_radical(V, FiniteFieldSpec(241, 15, {}))
-    assert res.head.dim == 24
-    assert res.radical_basis.ncols == 48
 
+    def lifted(p, root):
+        rad = radical(specialize_module(V, FiniteFieldSpec(p, root, {})))
+        return find_submodule(V, abstract_structure(rad))
 
-def test_gordon_redraws_a_specialization_that_does_not_lift():
-    # with seed 1 the first draw for family {7} is the prime 157, where
-    # the radical does not lift
-    G, par = g4_k13()
-    first = draw_specialization(G, par, 72, random.Random(1))
-    assert (first.p, first.root) == (157, 12)
-    rec = gordon(G, par, families=(7,), seed=1)
-    (_, p, _, _), = rec.specializations
-    assert p != 157
-    assert rec.simple_dims == {7: 24}
+    assert lifted(157, 12) == NO_SUBMODULE
+    found = lifted(241, 15)
+    assert found == head_and_radical(V).radical_basis
+    assert found.ncols == 48
 
 
 def test_find_submodule_rejects_a_candidate_that_is_not_invariant():
@@ -270,28 +270,25 @@ def test_find_submodule_rejects_a_candidate_that_is_not_invariant():
     ff = FiniteFieldSpec(17, 0, {"k": G.spec.scalar(17)})
     struct = abstract_structure(radical(specialize_module(V, ff)))
     assert find_submodule(V, struct) == NOT_LINEARLY_SOLVABLE
-    with pytest.raises(LiftFailure, match="not-linearly-solvable"):
-        head_and_radical(V, ff)
 
 
-def test_decompose_family_names_every_draw(monkeypatch):
-    def fail(module, ff):
-        raise LiftFailure("planted")
-
-    monkeypatch.setattr("cherednik.lift.head_and_radical", fail)
-    G = load_group("S3")
-    par = CherednikParameter(G, QQ, 0, [1])
-    with pytest.raises(LiftFailure, match="within 12 draws") as info:
-        decompose_family(G, par, (1,), random.Random(0))
-    draws = str(info.value).split("; ")
-    assert len(draws) == 12
-    assert all("p=" in d and "root=" in d and "u=" in d
-               and d.endswith(": planted") for d in draws)
+def test_draws_keep_every_nonzero_parameter_value_nonzero_mod_p():
+    # a value that vanishes mod p would make the draw a specialization of
+    # another parameter (B2 on k1_1-k2_1 at p = 17, k = 17, say)
+    G = load_group("B2")
+    par = restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
+    for seed in range(300):
+        ff = draw_specialization(G, par, 8, random.Random(seed))
+        for v in par.c:
+            if not v.is_zero():
+                value = evaluate_scalar(v, ff.u)
+                assert not reduce_mod_prime(value, ff.p, ff.root).is_zero()
 
 
 def oracle_cases():
-    """id -> (group, parameter, families) for the MeatAxe cross-check;
-    families None means every Euler family."""
+    """id -> (group, parameter, families) for the cross-checks against the
+    paper's lift and the MeatAxe; families None means every Euler
+    family."""
     S3, B2 = load_group("S3"), load_group("B2")
     return {
         "S3_c1": (S3, CherednikParameter(S3, QQ, 0, [1]), None),
@@ -303,20 +300,44 @@ def oracle_cases():
 
 
 @pytest.mark.parametrize("case", ["S3_c1", "B2_c12", "B2_hyp", "G4_k13"])
+def test_las_vegas_lift_matches_exact_radical(case):
+    # the paper's algorithm: reduce mod a drawn prime, take the radical
+    # there, and lift its shape back; a draw whose shape does not lift is
+    # thrown away.  The lift must equal the exact dual-spin radical.
+    G, par, _ = oracle_cases()[case]
+    for rho in G.irreps:
+        V = verma_module(G, par, rho)
+        rng = random.Random(0)
+        for _ in range(12):
+            ff = draw_specialization(G, par, V.dim, rng)
+            found = find_submodule(
+                V, abstract_structure(radical(specialize_module(V, ff))))
+            if not isinstance(found, str):
+                break
+        else:
+            pytest.fail(f"irrep {rho}: no lift within 12 draws")
+        assert found == head_and_radical(V).radical_basis
+
+
+@pytest.mark.parametrize("case", ["S3_c1", "B2_c12", "B2_hyp", "G4_k13"])
 def test_peeled_rows_match_meataxe_oracle(case):
     # the MeatAxe counts the composition factors of each Verma mod p by
-    # chopping it and matching every factor with the specialized heads; the
-    # count must equal the row peeled from graded characters
+    # chopping it and matching every factor with the specialized heads, which
+    # stay simple there (zero radical); the count must equal the row peeled
+    # from graded characters
     G, par, families = oracle_cases()[case]
     if families is None:
         families = [m for m, _ in euler_families(G, par)]
     for members in families:
         vermas = {}
-        fam = decompose_family(G, par, members, random.Random(0), vermas)
-        heads = {mu: specialize_module(fam.heads[mu].head, fam.spec)
+        fam = decompose_family(G, par, members, vermas)
+        ff = draw_specialization(G, par, max(V.dim for V in vermas.values()),
+                                 random.Random(0))
+        heads = {mu: specialize_module(fam.heads[mu].head, ff)
                  for mu in members}
+        assert all(radical(h).shape[1] == 0 for h in heads.values())
         for lam in members:
-            vbar = specialize_module(vermas[lam], fam.spec)
+            vbar = specialize_module(vermas[lam], ff)
             row = dict.fromkeys(members, 0)
             for simple, mult in chop(vbar, random.Random(1)):
                 matches = [mu for mu in members

@@ -12,17 +12,13 @@ from cherednik.modules import (
     check_module_relations,
     graded_character,
     graded_spin,
-    module_from_text,
-    module_to_text,
     quotient_module,
-    spec_from_text,
-    spec_to_text,
     verma_character,
     verma_module,
     x_tables,
 )
 from cherednik.multipoly import MultiPoly
-from cherednik.scalars import PolyRing, RationalFunctionField
+from cherednik.scalars import PolyRing
 
 
 def hyperplane_par(name="G4", form="k1_1-k1_2"):
@@ -247,23 +243,3 @@ def test_verma_character_closed_form(name):
         for rho in G.irreps:
             assert verma_character(G, rho) \
                 == graded_character(G, verma_module(G, par, rho))
-
-
-def test_module_serialization_roundtrip():
-    G, par = generic_par("C2")
-    V = verma_module(G, par, G.irreps[1])
-    text = module_to_text(V)
-    W = module_from_text(text)
-    assert W.dim == V.dim
-    assert W.degrees == V.degrees
-    assert W.gen_degrees == V.gen_degrees
-    assert all(a == b for a, b in zip(W.mats, V.mats))
-
-
-def test_spec_text_roundtrip():
-    G = load_group("G4")
-    specs = [G.spec,
-             RationalFunctionField(G.spec, "k"),
-             PolyRing(G.spec, ["a", "b"])]
-    for s in specs:
-        assert spec_from_text(spec_to_text(s)) == s
