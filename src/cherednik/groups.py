@@ -292,6 +292,7 @@ class ReflectionGroup:
         self._coinvariants = {}
         self._dual_mats = None
         self._x_tables = None  # filled by modules.x_tables
+        self._vermas = {}  # irrep -> per-irrep cache of modules.py
         self._bad_primes = None  # filled by restricted.bad_primes
         self.irreps = []
         if irrep_data:

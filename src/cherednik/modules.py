@@ -8,7 +8,15 @@ coinvariant algebra on the polynomial side: multiplication for the x's, the
 twisted group action for the g's, and lowering tables for the y's, which
 reduce the algebra's commutator formula (``algebra.commutator_telescope``)
 into the coinvariant algebra.  The table rows are independent of both the
-representation and the parameter, so they are built once per group."""
+representation and the parameter, so they are built once per group.
+
+At t = 0 the y's act linearly in c, so a Verma module is a pencil: one
+matrix Y_i^(j) per coordinate i and reflection class j, with y_i =
+sum_j c_j Y_i^(j), and g- and x-matrices that do not depend on c at all.
+The pencil and the closed-form graded character of each irrep are built
+on first use and cached on the group (``group._vermas``, keyed by the
+irrep); ``verma_module`` evaluates the pencil at a parameter and returns
+new matrices on every call."""
 
 from __future__ import annotations
 
@@ -98,93 +106,117 @@ def x_tables(group: ReflectionGroup):
 
 
 # ---------------------------------------------------------------------------
+# Verma modules: a parameter-free pencil per irrep, evaluated at c
+
+def _add_entry(entries, key, add):
+    """entries[key] += add on a sparse entry dict; a sum that cancels is
+    dropped."""
+    cur = entries.get(key)
+    cur = add if cur is None else cur + add
+    if cur.is_zero():
+        entries.pop(key, None)
+    else:
+        entries[key] = cur
+
+
+def _irrep_cache(group: ReflectionGroup, rho: Irrep):
+    """The per-irrep cache of rho's Verma module on the group: a dict that
+    fills lazily with the keys "pencil" (``_verma_pencil``) and
+    "character" (``verma_character``'s rows)."""
+    return group._vermas.setdefault(rho, {})
+
+
+def _verma_pencil(group: ReflectionGroup, rho: Irrep):
+    """Everything about rho's Verma module that does not depend on c, as
+    sparse entry dicts over the group's field: (basis degrees, ys, gxs).
+    ys[i][j] is the matrix Y_i^(j) with y_i = sum_j c_j Y_i^(j) over the
+    reflection classes j; gxs holds the g-matrices, then the x-matrices.
+    Built on first use and kept in the per-irrep cache."""
+    cache = _irrep_cache(group, rho)
+    if "pencil" in cache:
+        return cache["pencil"]
+    co = group.coinvariant_algebra("V")
+    n = group.n
+    d = rho.dim
+    degrees = []
+    for mu_idx in range(co.dim):
+        degrees.extend([co.degrees[mu_idx]] * d)
+    tables = x_tables(group)
+
+    def nonzero(mat):
+        return [(t, k, v) for t, row in enumerate(mat)
+                for k, v in enumerate(row) if not v.is_zero()]
+
+    # lowering operators, one matrix per (coordinate, reflection class)
+    ys = [[{} for _ in range(group.num_reflection_classes)]
+          for _ in range(n)]
+    for s in group.reflections:
+        snz = nonzero(rho.matrix(s.element))
+        for i in range(n):
+            entries = ys[i][s.refl_class]
+            for mu_idx, row in tables[(i, s.element)].items():
+                for eta_idx, coeff in row.items():
+                    for t, k, v in snz:
+                        _add_entry(entries, (eta_idx * d + t,
+                                             mu_idx * d + k), coeff * v)
+
+    # group generators: the twisted action on coinvariants tensor rho
+    gxs = []
+    for gmat in group.gens:
+        g_elem = group.element_index[gmat]
+        gnz = nonzero(rho.matrix(g_elem))
+        entries = {}
+        for mu_idx, mu in enumerate(co.monomials):
+            for eta_idx, coeff in co.act(g_elem, mu).items():
+                for t, k, v in gnz:
+                    entries[(eta_idx * d + t, mu_idx * d + k)] = coeff * v
+        gxs.append(entries)
+
+    # raising operators: multiplication in the coinvariant algebra
+    for i in range(n):
+        entries = {}
+        ei = tuple(1 if a == i else 0 for a in range(n))
+        for mu_idx, mu in enumerate(co.monomials):
+            for eta_idx, coeff in co.multiply(ei, mu).items():
+                for k in range(d):
+                    entries[(eta_idx * d + k, mu_idx * d + k)] = coeff
+        gxs.append(entries)
+
+    cache["pencil"] = (degrees, ys, gxs)
+    return cache["pencil"]
+
 
 def verma_module(group: ReflectionGroup, par: CherednikParameter,
                  rho: Irrep) -> GradedModule:
     """Standard module of the restricted algebra attached to rho.
 
     Basis x^mu (x) w_k ordered by (degree, monomial, k); generators are the
-    y's (degree -1), the group generators (0), then the x's (+1)."""
-    co = group.coinvariant_algebra("V")
+    y's (degree -1), the group generators (0), then the x's (+1).  At t = 0
+    the y's are linear in c, so the module is the pencil of
+    ``_verma_pencil`` (cached per (group, irrep), built on the first call)
+    evaluated at par: y_i = sum_j c_j Y_i^(j), the g's and x's embedded
+    into par.ring.  Every call returns new matrices."""
+    degrees, ys, gxs = _verma_pencil(group, rho)
     ring = par.ring
-    n = group.n
-    d = rho.dim
-    dim = co.dim * d
-    degrees = []
-    for mu_idx in range(co.dim):
-        degrees.extend([co.degrees[mu_idx]] * d)
-    tables = x_tables(group)
-
-    def idx(mu_idx, k):
-        return mu_idx * d + k
-
+    dim = len(degrees)
     mats = []
-    gen_names = []
-    gen_degrees = []
-
-    # lowering operators
-    for i in range(n):
+    for classes in ys:
         m = ExactMatrix(ring, dim, dim)
-        for s in group.reflections:
-            cs = par.c_of(s)
-            if cs.is_zero():
+        for cj, entries in zip(par.c, classes):
+            if cj.is_zero():
                 continue
-            rows = tables[(i, s.element)]
-            smat = rho.matrix(s.element)
-            for mu_idx, row in rows.items():
-                for eta_idx, coeff in row.items():
-                    base = ring.embed(coeff) * cs
-                    for k in range(d):
-                        for t in range(d):
-                            v = smat[t][k]
-                            if v.is_zero():
-                                continue
-                            key = (idx(eta_idx, t), idx(mu_idx, k))
-                            cur = m.entries.get(key)
-                            add = base * ring.embed(v)
-                            cur = add if cur is None else cur + add
-                            if cur.is_zero():
-                                m.entries.pop(key, None)
-                            else:
-                                m.entries[key] = cur
+            for key, v in entries.items():
+                _add_entry(m.entries, key, cj * ring.embed(v))
         mats.append(m)
-        gen_names.append(f"y{i+1}")
-        gen_degrees.append(-1)
-
-    # group generators
-    for gi, gmat in enumerate(group.gens):
-        g_elem = group.element_index[gmat]
+    for entries in gxs:
         m = ExactMatrix(ring, dim, dim)
-        gm = rho.matrix(g_elem)
-        for mu_idx, mu in enumerate(co.monomials):
-            action = co.act(g_elem, mu)
-            for eta_idx, coeff in action.items():
-                base = ring.embed(coeff)
-                for k in range(d):
-                    for t in range(d):
-                        v = gm[t][k]
-                        if v.is_zero():
-                            continue
-                        m.entries[(idx(eta_idx, t), idx(mu_idx, k))] = \
-                            base * ring.embed(v)
+        m.entries = {key: ring.embed(v) for key, v in entries.items()}
         mats.append(m)
-        gen_names.append(f"g{gi+1}")
-        gen_degrees.append(0)
-
-    # raising operators: multiplication in the coinvariant algebra
-    for i in range(n):
-        m = ExactMatrix(ring, dim, dim)
-        ei = tuple(1 if a == i else 0 for a in range(n))
-        for mu_idx, mu in enumerate(co.monomials):
-            prod = co.multiply(ei, mu)
-            for eta_idx, coeff in prod.items():
-                base = ring.embed(coeff)
-                for k in range(d):
-                    m.entries[(idx(eta_idx, k), idx(mu_idx, k))] = base
-        mats.append(m)
-        gen_names.append(f"x{i+1}")
-        gen_degrees.append(1)
-
+    n = group.n
+    gen_names = [f"y{i+1}" for i in range(n)] \
+        + [f"g{i+1}" for i in range(len(group.gens))] \
+        + [f"x{i+1}" for i in range(n)]
+    gen_degrees = [-1] * n + [0] * len(group.gens) + [1] * n
     return GradedModule(ring, degrees, gen_names, gen_degrees, mats)
 
 
@@ -295,11 +327,12 @@ def is_invariant_subspace(module: GradedModule, basis: ExactMatrix) -> bool:
 class Quotient:
     """A graded quotient module together with its projection data."""
 
-    __slots__ = ("module", "kept_rows", "_pivot_of")
+    __slots__ = ("module", "kept_rows", "_pivot_of", "_pos")
 
     def __init__(self, module, kept_rows, sub_basis):
         self.module = module
         self.kept_rows = kept_rows
+        self._pos = {r: i for i, r in enumerate(kept_rows)}
         pivots = {min(col): col for col in sub_basis.columns()}
         self._pivot_of = [(p, pivots[p]) for p in sorted(pivots)]
 
@@ -309,8 +342,7 @@ class Quotient:
         for p, col in self._pivot_of:
             if p in v:
                 v = _vec_sub_scaled(v, col, v[p])
-        pos = {r: i for i, r in enumerate(self.kept_rows)}
-        return {pos[i]: c for i, c in v.items() if not c.is_zero()}
+        return {self._pos[i]: c for i, c in v.items() if not c.is_zero()}
 
 
 def quotient_module(module: GradedModule, sub: ExactMatrix) -> Quotient:
@@ -387,12 +419,17 @@ def graded_character(group: ReflectionGroup, module: GradedModule):
 
 def verma_character(group: ReflectionGroup, rho: Irrep):
     """graded_character of the Verma module of rho without building it: its
-    degree-d part is the degree-d coinvariants tensor rho."""
-    chi = rho.character()
-    class_traces = {
-        dgr: [t * c for t, c in zip(traces, chi)]
-        for dgr, traces in enumerate(group.graded_coinvariant_characters())}
-    return _multiplicities(group, group.spec, class_traces)
+    degree-d part is the degree-d coinvariants tensor rho.  The rows are
+    kept in the per-irrep cache; each call returns a copy."""
+    cache = _irrep_cache(group, rho)
+    if "character" not in cache:
+        chi = rho.character()
+        class_traces = {
+            dgr: [t * c for t, c in zip(traces, chi)]
+            for dgr, traces in enumerate(
+                group.graded_coinvariant_characters())}
+        cache["character"] = _multiplicities(group, group.spec, class_traces)
+    return [dict(row) for row in cache["character"]]
 
 
 def _multiplicities(group, spec, class_traces):

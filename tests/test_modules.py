@@ -1,10 +1,11 @@
+import os
 import random
 
 import pytest
 
 from cherednik.algebra import CherednikAlgebra, CherednikParameter, \
     generic_ggor, ggor_from_values, restrict_to_hyperplane
-from cherednik.groups import load_group
+from cherednik.groups import data_directory, load_group, load_group_file
 from cherednik.linalg import ExactMatrix
 from cherednik.modules import (
     GradedModule,
@@ -125,10 +126,26 @@ def test_b2_verma_dims():
 def test_verma_satisfies_relations():
     for name in ("C2", "S3", "B2"):
         G, par = generic_par(name)
-        for rho in G.irreps[:2]:
+        for rho in G.irreps:
             V = verma_module(G, par, rho)
             ok, why = check_module_relations(G, par, V)
             assert ok, why
+
+
+@pytest.mark.parametrize("name,where", [("S3", "point"), ("B2", "point"),
+                                        ("B2", "k1_1-k2_1")])
+def test_every_verma_satisfies_relations(name, where):
+    # every irrep, so the d x d blocks of the 2-dimensional irreps enter the
+    # y-matrices, both at a point and at the generic point of a hyperplane
+    if where == "point":
+        G, par = numeric_par(name)
+    else:
+        G, par = hyperplane_par(name, where)
+    assert any(rho.dim > 1 for rho in G.irreps)
+    for rho in G.irreps:
+        V = verma_module(G, par, rho)
+        ok, why = check_module_relations(G, par, V)
+        assert ok, (rho.label, why)
 
 
 def test_g4_verma_relations():
@@ -136,6 +153,45 @@ def test_g4_verma_relations():
     V = verma_module(G, par, G.irrep_by_label("phi_{1,4}"))
     ok, why = check_module_relations(G, par, V)
     assert ok, why
+
+
+def test_g4_two_dimensional_verma_relations():
+    G = load_group("G4")
+    par = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}).to_cherednik()
+    rho = G.irrep_by_label("phi_{2,3}")
+    assert rho.dim == 2
+    V = verma_module(G, par, rho)
+    ok, why = check_module_relations(G, par, V)
+    assert ok, why
+
+
+def test_verma_cache_does_not_leak_between_calls():
+    G = load_group("B2")
+    rho = G.irreps[4]  # the 2-dimensional irrep
+    par_a = CherednikParameter(G, G.spec, 0, [1, 2])
+    par_b = CherednikParameter(G, G.spec, 0, [3, -1])
+    first = verma_module(G, par_a, rho)
+    kept = (list(first.degrees), [dict(m.entries) for m in first.mats])
+    one = G.spec.one()
+    for m in first.mats:
+        for key in list(m.entries):
+            m.entries[key] = m.entries[key] + one
+        m.entries[(0, 0)] = one
+    first.degrees[0] = 99
+    at_b = verma_module(G, par_b, rho)
+    again = verma_module(G, par_a, rho)
+    assert (again.degrees, [m.entries for m in again.mats]) == kept
+    # a group loaded afresh has an empty cache
+    fresh = load_group_file(os.path.join(data_directory(), "B2.grp"))
+    assert fresh is not G
+    built = verma_module(fresh, CherednikParameter(fresh, fresh.spec, 0,
+                                                   [3, -1]),
+                         fresh.irreps[4])
+    assert built.degrees == at_b.degrees
+    assert [m.entries for m in built.mats] == [m.entries for m in at_b.mats]
+    chars = verma_character(G, rho)
+    chars[0][0] = 99
+    assert verma_character(G, rho) == verma_character(fresh, fresh.irreps[4])
 
 
 def test_perturbed_module_fails_relations():
