@@ -690,20 +690,28 @@ class CherednikAlgebra:
 
 def euler_family_scalar(group, par: CherednikParameter, rho) -> Scalar:
     """Action of the Euler element on the lowest-weight space of the
-    standard module attached to rho: a central-character value."""
+    standard module attached to rho: a central-character value.
+
+    It is sum_s eps_s/(eps_s - 1) c(s) chi_rho(s) / dim rho, linear in c:
+    sum_j a_j c_j / dim rho over the reflection classes j, with
+    a_j = sum_{s in class j} eps_s/(eps_s - 1) chi_rho(s) over the group's
+    field, kept per irrep on the group (``group._euler_forms``)."""
+    form = group._euler_forms.get(rho)
+    if form is None:
+        K = group.spec
+        chi = rho.character()
+        form = [K.zero()] * group.num_reflection_classes
+        for s in group.reflections:
+            w = s.eps / (s.eps - K.one())
+            form[s.refl_class] = form[s.refl_class] \
+                + w * chi[group.class_of[s.element]]
+        group._euler_forms[rho] = form
     ring = par.ring
-    chi = rho.character()
-    dim = ring.scalar(rho.dim)
     total = ring.zero()
-    K = group.spec
-    for s in group.reflections:
-        cs = par.c_of(s)
-        if cs.is_zero():
-            continue
-        w = s.eps / (s.eps - K.one())
-        chi_s = chi[group.class_of[s.element]]
-        total = total + ring.embed(w) * cs * ring.embed(chi_s)
-    return total / dim
+    for a, cj in zip(form, par.c):
+        if not cj.is_zero():
+            total = total + ring.embed(a) * cj
+    return total / ring.scalar(rho.dim)
 
 
 def euler_families(group, par: CherednikParameter):

@@ -293,6 +293,7 @@ class ReflectionGroup:
         self._dual_mats = None
         self._x_tables = None  # filled by modules.x_tables
         self._vermas = {}  # irrep -> per-irrep cache of modules.py
+        self._euler_forms = {}  # irrep -> algebra.euler_family_scalar's a_j
         self._bad_primes = None  # filled by restricted.bad_primes
         self.irreps = []
         if irrep_data:

@@ -4,18 +4,23 @@ check.
 
 A baby Verma module is graded and generated by its simple degree-0 part
 (Gordon 2003), so every proper submodule has zero degree-0 part and the
-radical is the common kernel of the degree-0 coordinate functionals spun
-under the transposed action: one graded spin and one nullspace, exact over
-the parameter's field, with no prime and no draw.  Graded characters are
-unitriangular, so each Verma's decomposition row is peeled from its
-character against the heads'.
+radical R is the common kernel of the degree-0 coordinate functionals spun
+under the transposed action.  That dual spin, exact over the parameter's
+field with no prime and no draw, spans the annihilator of R, which is dual
+to the head: ``gordon`` reads each head's Poincare series and graded
+character off it by a trace formula (``modules.dual_character``) and never
+forms the head.  Graded characters are unitriangular, so each Verma's
+decomposition row is peeled from its character against the heads'.
 
+``head_and_radical`` takes the nullspace of the dual spin and forms the
+head as a quotient module; it is the tests' oracle for the trace formula.
 The paper's algorithm stays here as an oracle that ``gordon`` does not
-call: draw a parameter point and a good prime, push a module over to F_p,
-take its radical there, record only the radical's field-independent shape
-(pivot skeleton plus the equality pattern of the non-pivot entries), and
-re-find a submodule with that shape over the original field by solving the
-linear strata of the invariance equations of the y's."""
+call either: draw a parameter point and a good prime, push a module over
+to F_p, take its radical there, record only the radical's
+field-independent shape (pivot skeleton plus the equality pattern of the
+non-pivot entries), and re-find a submodule with that shape over the
+original field by solving the linear strata of the invariance equations of
+the y's."""
 
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ from .algebra import CherednikParameter, ParameterError
 from .groups import ReflectionGroup
 from .linalg import ExactMatrix
 from .meataxe import FpModule
-from .modules import GradedModule, graded_character, graded_spin, \
+from .modules import GradedModule, dual_character, graded_spin, \
     is_invariant_subspace, quotient_module, verma_character, verma_module
 from .restricted import bad_primes, is_potentially_integral
 from .scalars import FieldError, Scalar, minpoly_roots_mod_p, \
@@ -519,19 +524,26 @@ class HeadResult:
         self.head = head
 
 
-def head_and_radical(module: GradedModule) -> HeadResult:
-    """Radical and head of a module generated by a simple lowest-degree
-    part, such as a baby Verma module.  Every proper submodule then has
-    zero lowest-degree part, so the radical is the largest such submodule:
-    the common kernel of the lowest-degree coordinate functionals spun
-    under the transposed action, and the head is simple.  Exact over the
-    module's field, which must be a field for the nullspace; the premise on
-    the lowest-degree part is the caller's."""
+def dual_spin(module: GradedModule) -> ExactMatrix:
+    """Canonical basis matrix of the annihilator of the radical of a module
+    generated by a simple lowest-degree part, such as a baby Verma module.
+    Every proper submodule then has zero lowest-degree part, so the radical
+    is the largest such submodule: the common kernel of the lowest-degree
+    coordinate functionals spun under the transposed action, and the head
+    is simple.  The premise on the lowest-degree part is the caller's."""
     low = min(module.degrees)
     one = module.spec.one()
     seeds = [{i: one} for i, d in enumerate(module.degrees) if d == low]
-    dual = graded_spin(module.transpose(), seeds)
-    rad = dual.transpose().nullspace()
+    return graded_spin(module.transpose(), seeds)
+
+
+def head_and_radical(module: GradedModule) -> HeadResult:
+    """Radical (the nullspace of ``dual_spin``'s transpose) and head (the
+    quotient module) of a module generated by a simple lowest-degree part;
+    exact over the module's field, which must be a field for the
+    nullspace.  ``gordon`` reads the heads' characters off the dual spin
+    and never forms them; this is the tests' oracle for that."""
+    rad = dual_spin(module).transpose().nullspace()
     if not rad.ncols:
         return HeadResult(rad, module)
     return HeadResult(rad, quotient_module(module, rad).module)
@@ -561,21 +573,23 @@ def peel(character, simples):
 
 
 class FamilyDecomposition:
-    __slots__ = ("members", "heads", "characters", "matrix")
+    __slots__ = ("members", "pseries", "characters", "matrix")
 
-    def __init__(self, members, heads, characters, matrix):
+    def __init__(self, members, pseries, characters, matrix):
         self.members = list(members)
-        self.heads = heads            # {member: HeadResult}
+        self.pseries = pseries        # {member: Poincare series of head}
         self.characters = characters  # {member: graded character of head}
         self.matrix = matrix          # {(row member, col member): int}
 
 
 def decompose_family(group: ReflectionGroup, par: CherednikParameter,
                      members, vermas=None) -> FamilyDecomposition:
-    """Heads and the decomposition matrix of a constituent-closed family of
-    standard modules (1-based irrep indices).  Each row comes from peeling
-    the Verma's graded character (closed form) against the heads' graded
-    characters; a character that does not peel raises LiftFailure.  Vermas
+    """The heads' Poincare series and graded characters, and the
+    decomposition matrix, of a constituent-closed family of standard
+    modules (1-based irrep indices).  Each head's character is read off the
+    Verma's dual spin by ``dual_character``'s trace formula; each row comes
+    from peeling the Verma's graded character (closed form) against the
+    heads'; a character that does not peel raises LiftFailure.  Vermas
     built here are added to ``vermas``."""
     if vermas is None:
         vermas = {}
@@ -583,14 +597,15 @@ def decompose_family(group: ReflectionGroup, par: CherednikParameter,
         if lam not in vermas:
             vermas[lam] = verma_module(group, par,
                                        group.irreps[lam - 1])
-    heads = {lam: head_and_radical(vermas[lam]) for lam in members}
-    characters = {lam: graded_character(group, heads[lam].head)
-                  for lam in members}
+    pseries, characters = {}, {}
+    for lam in members:
+        pseries[lam], characters[lam] = dual_character(
+            group, group.irreps[lam - 1], dual_spin(vermas[lam]))
     matrix = {}
     for lam in members:
         row = peel(verma_character(group, group.irreps[lam - 1]), characters)
         matrix.update(((lam, mu), row[mu]) for mu in members)
-    return FamilyDecomposition(members, heads, characters, matrix)
+    return FamilyDecomposition(members, pseries, characters, matrix)
 
 
 def gordon(group: ReflectionGroup, par: CherednikParameter,
@@ -635,9 +650,8 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
             failures.append((members, str(exc)))
             continue
         for lam in members:
-            head = fam.heads[lam].head
-            record.simple_dims[lam] = head.dim
-            record.simple_pseries[lam] = poly_in_t(head.poincare_series())
+            record.simple_dims[lam] = sum(fam.pseries[lam].values())
+            record.simple_pseries[lam] = poly_in_t(fam.pseries[lam])
             record.simple_graded[lam] = [poly_in_t(r)
                                          for r in fam.characters[lam]]
         record.verma_decomposition.update(fam.matrix)

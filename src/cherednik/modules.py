@@ -16,7 +16,13 @@ sum_j c_j Y_i^(j), and g- and x-matrices that do not depend on c at all.
 The pencil and the closed-form graded character of each irrep are built
 on first use and cached on the group (``group._vermas``, keyed by the
 irrep); ``verma_module`` evaluates the pencil at a parameter and returns
-new matrices on every call."""
+new matrices on every call.
+
+Graded characters come from class traces per degree.  ``verma_character``
+takes them in closed form from the coinvariants; ``dual_character`` reads
+them off a dual spin of a Verma module with one pivot entry per basis
+vector and class; ``graded_character`` multiplies out degree blocks of any
+module's g-matrices and serves the tests as the oracle of both."""
 
 from __future__ import annotations
 
@@ -126,6 +132,25 @@ def _irrep_cache(group: ReflectionGroup, rho: Irrep):
     return group._vermas.setdefault(rho, {})
 
 
+def _element_column(group: ReflectionGroup, rho: Irrep, g, col, rows=None):
+    """Column ``col`` = mu*d + k of group element g's matrix on rho's Verma
+    module, as {row: scalar over the group's field}, only at ``rows`` when
+    given: the twisted action
+    g(x^mu (x) w_k) = sum_{eta,t} (g.x^mu)[eta] rho(g)[t][k] x^eta (x) w_t
+    on coinvariants tensor rho (d = dim rho)."""
+    co = group.coinvariant_algebra("V")
+    d = rho.dim
+    mu_idx, k = divmod(col, d)
+    m = rho.matrix(g)
+    out = {}
+    for eta_idx, coeff in co.act(g, co.monomials[mu_idx]).items():
+        for t in range(d):
+            i = eta_idx * d + t
+            if (rows is None or i in rows) and not m[t][k].is_zero():
+                out[i] = coeff * m[t][k]
+    return out
+
+
 def _verma_pencil(group: ReflectionGroup, rho: Irrep):
     """Everything about rho's Verma module that does not depend on c, as
     sparse entry dicts over the group's field: (basis degrees, ys, gxs).
@@ -164,13 +189,9 @@ def _verma_pencil(group: ReflectionGroup, rho: Irrep):
     gxs = []
     for gmat in group.gens:
         g_elem = group.element_index[gmat]
-        gnz = nonzero(rho.matrix(g_elem))
-        entries = {}
-        for mu_idx, mu in enumerate(co.monomials):
-            for eta_idx, coeff in co.act(g_elem, mu).items():
-                for t, k, v in gnz:
-                    entries[(eta_idx * d + t, mu_idx * d + k)] = coeff * v
-        gxs.append(entries)
+        gxs.append({(i, col): v for col in range(len(degrees))
+                    for i, v in _element_column(group, rho, g_elem,
+                                                col).items()})
 
     # raising operators: multiplication in the coinvariant algebra
     for i in range(n):
@@ -432,18 +453,49 @@ def verma_character(group: ReflectionGroup, rho: Irrep):
     return [dict(row) for row in cache["character"]]
 
 
+def dual_character(group: ReflectionGroup, rho: Irrep, dual: ExactMatrix):
+    """Poincare series {degree: dim} and graded_character's rows of the
+    quotient L = Delta/R of rho's Verma module Delta, read off the canonical
+    basis matrix ``dual`` (``graded_spin`` on the transposed module) of the
+    annihilator S of R, without forming L.
+
+    S is invariant under the transposed action and dual to L, so
+    tr(g | L_d) = tr(g^T | S_d).  Each column s_p of ``dual`` has a 1 at its
+    pivot p (its topmost support) and 0 at every other pivot, so the
+    coordinate of g^T s_p on s_p is its entry at p: tr(g | L_d) is the sum,
+    over the pivots p of degree d, of sum_i G[i, p] s_p[i], with G the matrix
+    of the class representative g on Delta (``_element_column``)."""
+    degrees = _verma_pencil(group, rho)[0]
+    ring = dual.spec
+    reps = [cls[0] for cls in group.conj_classes]
+    pseries = {}
+    class_traces = {}
+    for s in dual.columns():
+        p = min(s)
+        pseries[degrees[p]] = pseries.get(degrees[p], 0) + 1
+        traces = class_traces.setdefault(degrees[p],
+                                         [ring.zero()] * len(reps))
+        for ci, g in enumerate(reps):
+            for i, v in _element_column(group, rho, g, p, s).items():
+                traces[ci] = traces[ci] + ring.embed(v) * s[i]
+    return (dict(sorted(pseries.items())),
+            _multiplicities(group, ring, dict(sorted(class_traces.items()))))
+
+
 def _multiplicities(group, spec, class_traces):
     """graded_character's rows from class traces {degree: [per class]}."""
-    sizes = [len(c) for c in group.conj_classes]
+    inv_classes = [group.class_of[group.inverse[cls[0]]]
+                   for cls in group.conj_classes]
     out = []
     for rho in group.irreps:
         chi = rho.character()
+        weights = [spec.embed(chi[inv]) * len(cls)
+                   for inv, cls in zip(inv_classes, group.conj_classes)]
         row = {}
         for dgr, traces in class_traces.items():
             s = spec.zero()
-            for ci, cls in enumerate(group.conj_classes):
-                inv_cls = group.class_of[group.inverse[cls[0]]]
-                s = s + traces[ci] * spec.embed(chi[inv_cls]) * sizes[ci]
+            for t, w in zip(traces, weights):
+                s = s + t * w
             m = as_integer(s, group.order)
             if m:
                 row[dgr] = m

@@ -7,6 +7,7 @@ from cherednik.algebra import (
     CherednikParameter,
     ParameterError,
     euler_families,
+    euler_family_scalar,
     generic_ggor,
     ggor_from_values,
     poisson_bracket,
@@ -223,6 +224,43 @@ def test_euler_families_zero_parameter():
     assert len(fams) == 1
     assert fams[0][0] == tuple(range(1, 8))
     assert fams[0][1].is_zero()
+
+
+def euler_cases():
+    """id -> (group, parameter) for the Euler-form check."""
+    S3, B2, G4 = load_group("S3"), load_group("B2"), load_group("G4")
+    return {
+        "S3_c1": (S3, CherednikParameter(S3, S3.spec, 0, [1])),
+        "S3_c0": (S3, CherednikParameter(S3, S3.spec, 0, [0])),
+        "B2_c12": (B2, CherednikParameter(B2, B2.spec, 0, [1, 2])),
+        "B2_c0": (B2, CherednikParameter(B2, B2.spec, 0, [0, 0])),
+        "B2_hyp": (B2, restrict_to_hyperplane(B2, "k1_1-k2_1")
+                   .to_cherednik()),
+        "G4_k13": (G4, ggor_from_values(G4, G4.spec, {(0, 1): 1, (0, 2): 3})
+                   .to_cherednik()),
+        "G4_hyp": (G4, restrict_to_hyperplane(G4, "k1_1-2*k1_2")
+                   .to_cherednik()),
+    }
+
+
+@pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
+                                  "B2_hyp", "G4_k13", "G4_hyp"])
+def test_euler_scalar_is_the_per_reflection_sum(case):
+    # the Euler element's eps_s/(eps_s - 1) c(s) s terms acting on the
+    # lowest-degree rho, summed reflection by reflection
+    G, par = euler_cases()[case]
+    ring, K = par.ring, G.spec
+    for rho in G.irreps:
+        chi = rho.character()
+        total = ring.zero()
+        for s in G.reflections:
+            w = s.eps / (s.eps - K.one())
+            total = total + ring.embed(w) * par.c_of(s) \
+                * ring.embed(chi[G.class_of[s.element]])
+        want = total / ring.scalar(rho.dim)
+        got = euler_family_scalar(G, par, rho)
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 def test_poisson_antisymmetry_and_self():

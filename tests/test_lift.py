@@ -13,6 +13,7 @@ from cherednik.lift import (
     abstract_structure,
     decompose_family,
     draw_specialization,
+    dual_spin,
     evaluate_scalar,
     find_submodule,
     gordon,
@@ -23,7 +24,8 @@ from cherednik.lift import (
 )
 from cherednik.linalg import ExactMatrix
 from cherednik.meataxe import chop, is_isomorphic, radical
-from cherednik.modules import GradedModule, verma_character, verma_module
+from cherednik.modules import GradedModule, dual_character, \
+    graded_character, verma_character, verma_module
 from cherednik.scalars import QQ, RationalFunctionField, reduce_mod_prime
 
 
@@ -287,12 +289,14 @@ def test_draws_keep_every_nonzero_parameter_value_nonzero_mod_p():
 
 def oracle_cases():
     """id -> (group, parameter, families) for the cross-checks against the
-    paper's lift and the MeatAxe; families None means every Euler
-    family."""
+    paper's lift, the MeatAxe and the quotient heads; families None means
+    every Euler family."""
     S3, B2 = load_group("S3"), load_group("B2")
     return {
         "S3_c1": (S3, CherednikParameter(S3, QQ, 0, [1]), None),
+        "S3_c0": (S3, CherednikParameter(S3, QQ, 0, [0]), None),
         "B2_c12": (B2, CherednikParameter(B2, QQ, 0, [1, 2]), None),
+        "B2_c0": (B2, CherednikParameter(B2, QQ, 0, [0, 0]), None),
         "B2_hyp": (B2, restrict_to_hyperplane(B2, "k1_1-k2_1").to_cherednik(),
                    [(3, 4, 5)]),
         "G4_k13": (*g4_k13(), [(4,), (7,)]),
@@ -333,7 +337,7 @@ def test_peeled_rows_match_meataxe_oracle(case):
         fam = decompose_family(G, par, members, vermas)
         ff = draw_specialization(G, par, max(V.dim for V in vermas.values()),
                                  random.Random(0))
-        heads = {mu: specialize_module(fam.heads[mu].head, ff)
+        heads = {mu: specialize_module(head_and_radical(vermas[mu]).head, ff)
                  for mu in members}
         assert all(radical(h).shape[1] == 0 for h in heads.values())
         for lam in members:
@@ -345,6 +349,22 @@ def test_peeled_rows_match_meataxe_oracle(case):
                 assert len(matches) == 1
                 row[matches[0]] += mult
             assert row == {mu: fam.matrix[(lam, mu)] for mu in members}
+
+
+@pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
+                                  "B2_hyp", "G4_k13"])
+def test_dual_spin_character_matches_the_quotient_head(case):
+    # the trace formula on the dual spin against the head formed as the
+    # quotient module by the exact radical, with its traces taken from
+    # products of its g-blocks
+    G, par, _ = oracle_cases()[case]
+    for rho in G.irreps:
+        V = verma_module(G, par, rho)
+        head = head_and_radical(V).head
+        pseries, character = dual_character(G, rho, dual_spin(V))
+        assert character == graded_character(G, head)
+        assert pseries == head.poincare_series()
+        assert sum(pseries.values()) == head.dim
 
 
 def test_peel_needs_every_member_head():
