@@ -204,14 +204,6 @@ class Irrep:
             out.append(tr)
         return out
 
-    def conjugated(self, basis):
-        """Irrep in a new basis; basis columns are the new basis vectors."""
-        spec = self.group.spec
-        binv = mat_inv(spec, basis)
-        mats = [mat_mul(spec, binv, mat_mul(spec, m, basis))
-                for m in self.gen_matrices]
-        return Irrep(self.group, mats, self.label)
-
 
 class CoinvariantAlgebra:
     """K[V]_G (side 'V', variables x) or K[V*]_G (side 'V*', variables y)."""
@@ -300,7 +292,6 @@ class ReflectionGroup:
             for label, mats in irrep_data:
                 self.irreps.append(Irrep(self, mats, label))
             self._validate_irreps()
-            self._diagonalize_irreps()
             self._assign_labels()
 
     # -- enumeration ---------------------------------------------------------
@@ -575,67 +566,6 @@ class ReflectionGroup:
                         "shipped irreps fail character orthogonality")
         if sum(rho.dim ** 2 for rho in self.irreps) != self.order:
             raise GroupDataError("irrep dimensions do not sum to |G|")
-
-    def _diagonalize_irreps(self):
-        """Conjugate each irrep so a diagonal group generator acts
-        diagonally (eigenbasis ordered by eigenvalue power, then index)."""
-        diag_gen = None
-        for gi, g in enumerate(self.gens):
-            if all(g[i][j].is_zero() for i in range(self.n)
-                   for j in range(self.n) if i != j):
-                diag_gen = gi
-                break
-        if diag_gen is None:
-            return
-        g_idx = self.element_index[self.gens[diag_gen]]
-        m = 1
-        cur = g_idx
-        while cur != self.identity:
-            cur = self.mult[cur][g_idx]
-            m += 1
-        zeta = None
-        # primitive m-th root among the diagonal entries
-        candidates = [self.gens[diag_gen][i][i] for i in range(self.n)]
-        for c in candidates:
-            order = 1
-            acc = c
-            while not (acc == 1) and order <= m:
-                acc = acc * c
-                order += 1
-            if order == m:
-                zeta = c
-                break
-        if zeta is None and m <= 2:
-            zeta = self.spec.scalar(-1) if m == 2 else self.spec.one()
-        if zeta is None:
-            return
-        powers = [self.spec.one()]
-        for _ in range(m - 1):
-            powers.append(powers[-1] * zeta)
-
-        new_irreps = []
-        for rho in self.irreps:
-            mat = rho.matrix(g_idx)
-            d = rho.dim
-            if all(mat[i][j].is_zero() for i in range(d) for j in range(d)
-                   if i != j):
-                new_irreps.append(rho)
-                continue
-            cols = []
-            for ev in powers:
-                em = ExactMatrix(self.spec, d, d,
-                                 {(i, j): mat[i][j] - (ev if i == j else 0)
-                                  for i in range(d) for j in range(d)})
-                ns = em.nullspace()
-                for jcol in range(ns.ncols):
-                    cols.append(ns.column(jcol))
-            if len(cols) != d:
-                raise GroupDataError("could not diagonalize an irrep "
-                                     "against the diagonal generator")
-            basis = tuple(tuple(cols[j].get(i, self.spec.zero())
-                                for j in range(d)) for i in range(d))
-            new_irreps.append(rho.conjugated(basis))
-        self.irreps = new_irreps
 
     def graded_coinvariant_characters(self):
         """Character of each graded piece of K[V]_G, one row per degree."""

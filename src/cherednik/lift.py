@@ -5,15 +5,18 @@ check.
 A baby Verma module is graded and generated by its simple degree-0 part
 (Gordon 2003), so every proper submodule has zero degree-0 part and the
 radical R is the common kernel of the degree-0 coordinate functionals spun
-under the transposed action.  That dual spin, exact over the parameter's
-field with no prime and no draw, spans the annihilator of R, which is dual
-to the head: ``gordon`` reads each head's Poincare series and graded
-character off it by a trace formula (``modules.dual_character``) and never
-forms the head.  Graded characters are unitriangular, so each Verma's
+under the transposed action.  By the triangular decomposition
+H = C[x] W C[y] (Etingof-Ginzburg 2002) only the y's add to that spin, so
+``dual_spin`` spins under their transposes alone.  The spin, exact over the
+parameter's field with no prime and no draw, spans the annihilator of R,
+which is dual to the head: ``gordon`` reads each head's Poincare series and
+graded character off it by a trace formula (``modules.dual_character``) and
+never forms the head.  Graded characters are unitriangular, so each Verma's
 decomposition row is peeled from its character against the heads'.
 
-``head_and_radical`` takes the nullspace of the dual spin and forms the
-head as a quotient module; it is the tests' oracle for the trace formula.
+``head_and_radical`` spins the same functionals under every generator,
+takes the nullspace and forms the head as a quotient module; it is the
+tests' oracle for both the y-only spin and the trace formula.
 The paper's algorithm stays here as an oracle that ``gordon`` does not
 call either: draw a parameter point and a good prime, push a module over
 to F_p, take its radical there, record only the radical's
@@ -524,26 +527,45 @@ class HeadResult:
         self.head = head
 
 
+def _lowest_functionals(module: GradedModule):
+    """The coordinate functionals of the module's lowest degree, as seeds
+    for a spin under the transposed action."""
+    low = min(module.degrees)
+    one = module.spec.one()
+    return [{i: one} for i, d in enumerate(module.degrees) if d == low]
+
+
 def dual_spin(module: GradedModule) -> ExactMatrix:
     """Canonical basis matrix of the annihilator of the radical of a module
     generated by a simple lowest-degree part, such as a baby Verma module.
     Every proper submodule then has zero lowest-degree part, so the radical
     is the largest such submodule: the common kernel of the lowest-degree
-    coordinate functionals spun under the transposed action, and the head
-    is simple.  The premise on the lowest-degree part is the caller's."""
-    low = min(module.degrees)
-    one = module.spec.one()
-    seeds = [{i: one} for i, d in enumerate(module.degrees) if d == low]
-    return graded_spin(module.transpose(), seeds)
+    coordinate functionals f spun under the transposed action, and the head
+    is simple.  The premise on the lowest-degree part is the caller's.
+
+    Only the transposes of the negative-degree generators (the y's) are
+    spun.  By the triangular decomposition H = C[x] W C[y], the spin is
+    spanned by the f o (x^a w y^b); f o x^a = 0 for a != 0, as nothing lies
+    below the lowest degree, and f o w is again a lowest-degree functional,
+    so the spin is span{f o y^b}.  Its canonical basis is the full spin's."""
+    lowering = [k for k, d in enumerate(module.gen_degrees) if d < 0]
+    dual = GradedModule(module.spec, module.degrees,
+                        [module.gen_names[k] for k in lowering],
+                        [-module.gen_degrees[k] for k in lowering],
+                        [module.mats[k].transpose() for k in lowering])
+    return graded_spin(dual, _lowest_functionals(module))
 
 
 def head_and_radical(module: GradedModule) -> HeadResult:
-    """Radical (the nullspace of ``dual_spin``'s transpose) and head (the
-    quotient module) of a module generated by a simple lowest-degree part;
-    exact over the module's field, which must be a field for the
-    nullspace.  ``gordon`` reads the heads' characters off the dual spin
-    and never forms them; this is the tests' oracle for that."""
-    rad = dual_spin(module).transpose().nullspace()
+    """Radical and head (the quotient module) of a module generated by a
+    simple lowest-degree part; exact over the module's field, which must be
+    a field for the nullspace.  The radical is the nullspace of the
+    transposed spin of the lowest-degree functionals under every generator,
+    not ``dual_spin``'s y's alone, so it checks that shortcut too.
+    ``gordon`` reads the heads' characters off the dual spin and never
+    forms them; this is the tests' oracle for that."""
+    spin = graded_spin(module.transpose(), _lowest_functionals(module))
+    rad = spin.transpose().nullspace()
     if not rad.ncols:
         return HeadResult(rad, module)
     return HeadResult(rad, quotient_module(module, rad).module)

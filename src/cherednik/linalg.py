@@ -5,6 +5,14 @@ column at the topmost possible row, scaled to 1, with the pivot row cleared
 in all other columns and pivot rows strictly increasing left to right.  It
 is the transpose of the reduced row echelon form of the transpose, and each
 subspace has exactly one basis matrix of this shape.
+
+``Echelon`` is the one exact elimination: it keeps that canonical basis of
+a span as sparse vectors, each with a 1 at its pivot (its topmost support)
+and a 0 at every other pivot.  By that invariant ``Echelon.reduce`` clears
+a vector's pivot coordinates with one subtraction per pivot it hits.
+``rref`` and ``rank`` insert a matrix's rows, ``rcef`` its columns, and
+``nullspace`` and ``solve`` read their answers off the row echelon; the
+module spins and quotients of ``modules`` use it directly.
 """
 
 from __future__ import annotations
@@ -154,76 +162,39 @@ class ExactMatrix:
         out.entries = {(j, i): v for (i, j), v in self.entries.items()}
         return out
 
-    # -- echelon machinery ---------------------------------------------------
-    def _row_list(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+    # -- echelon forms -------------------------------------------------------
+    def _row_echelon(self):
+        return Echelon(self.spec, self.transpose().columns())
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        rows = self._row_list()
-        pivots = []
-        rank = 0
-        for col in range(self.ncols):
-            pivot_row = None
-            for r in range(rank, self.nrows):
-                if col in rows[r]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            prow = rows[rank]
-            inv = self.spec.one() / prow[col]
-            if not (inv == 1):
-                prow = {j: v * inv for j, v in prow.items()}
-                rows[rank] = prow
-            for r in range(self.nrows):
-                if r == rank:
-                    continue
-                c = rows[r].get(col)
-                if c is None:
-                    continue
-                target = rows[r]
-                for j, v in prow.items():
-                    s = target.get(j)
-                    s = -c * v if s is None else s - c * v
-                    if s.is_zero():
-                        target.pop(j, None)
-                    else:
-                        target[j] = s
-            pivots.append(col)
-            rank += 1
+        ech = self._row_echelon()
+        pivots = sorted(ech.vecs)
         out = ExactMatrix(self.spec, self.nrows, self.ncols)
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                out.entries[(i, j)] = v
+        out.entries = {(i, j): v for i, p in enumerate(pivots)
+                       for j, v in ech.vecs[p].items()}
         return out, pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return self._row_echelon().rank()
 
     def rcef(self):
         """The unique reduced column echelon form (pivot rows topmost)."""
-        r, _ = self.transpose().rref()
-        return r.transpose()
+        cols = Echelon(self.spec, self.columns()).columns()
+        return ExactMatrix.from_columns(
+            self.spec, self.nrows, cols + [{}] * (self.ncols - len(cols)))
 
     def nullspace(self):
         """rcef basis of the right kernel {v : M v = 0}."""
-        r, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
+        ech = self._row_echelon()
+        one = self.spec.one()
         cols = []
-        for f in free:
-            col = {f: self.spec.one()}
-            for i, p in enumerate(pivots):
-                v = r.entries.get((i, f))
-                if v is not None:
-                    col[p] = -v
-            cols.append(col)
-        basis = ExactMatrix.from_columns(self.spec, self.ncols, cols)
-        return basis.rcef()
+        for f in range(self.ncols):
+            if f not in ech.vecs:
+                col = {p: -r[f] for p, r in ech.vecs.items() if f in r}
+                col[f] = one
+                cols.append(col)
+        return ExactMatrix.from_columns(self.spec, self.ncols, cols).rcef()
 
     def solve(self, rhs):
         """Full affine solution set of M x = rhs.
@@ -239,13 +210,74 @@ class ExactMatrix:
         for i, v in rhs.items():
             if not v.is_zero():
                 aug.entries[(i, self.ncols)] = v
-        r, pivots = aug.rref()
-        if self.ncols in pivots:
+        ech = aug._row_echelon()
+        if self.ncols in ech.vecs:
             return None
-        particular = {}
-        for i, p in enumerate(pivots):
-            v = r.entries.get((i, self.ncols))
-            if v is not None:
-                particular[p] = v
+        particular = {p: r[self.ncols] for p, r in sorted(ech.vecs.items())
+                      if self.ncols in r}
         return particular, self.nullspace()
 
+
+def _sub_scaled(v, w, c):
+    """v -= c*w in place on sparse dicts; a sum that cancels is dropped."""
+    for i, x in w.items():
+        s = v.get(i)
+        s = -c * x if s is None else s - c * x
+        if s.is_zero():
+            v.pop(i, None)
+        else:
+            v[i] = s
+
+
+class Echelon:
+    """Incremental reduced echelon of sparse vectors (dicts index ->
+    Scalar), the package's one exact elimination.
+
+    ``vecs`` maps each pivot p to a stored vector whose topmost support is
+    p, with a 1 there and a 0 at every other pivot.  Sorted by pivot, the
+    stored vectors are the unique canonical basis of their span: as rows,
+    its reduced row echelon form; as columns, its rcef."""
+
+    def __init__(self, spec, vectors=()):
+        self.spec = spec
+        self.vecs = {}
+        for v in vectors:
+            self.insert(v)
+
+    def reduce(self, v):
+        """v with every pivot coordinate cleared, as a new sparse dict.
+        Subtracting a stored vector changes no other pivot coordinate, so
+        one subtraction per pivot that v hits is enough, in any order."""
+        v = {i: c for i, c in v.items() if not c.is_zero()}
+        for p in [p for p in v if p in self.vecs]:
+            _sub_scaled(v, self.vecs[p], v[p])
+        return v
+
+    def insert(self, v):
+        """Add v to the span.  Returns the new stored vector (later inserts
+        may change it in place), or None when v is already in the span."""
+        v = self.reduce(v)
+        if not v:
+            return None
+        p = min(v)
+        if not (v[p] == 1):
+            inv = self.spec.one() / v[p]
+            v = {i: c * inv for i, c in v.items()}
+        for r in self.vecs.values():
+            if p in r:
+                _sub_scaled(r, v, r[p])
+        self.vecs[p] = v
+        return v
+
+    def contains(self, v):
+        return not self.reduce(v)
+
+    def columns(self):
+        return [self.vecs[p] for p in sorted(self.vecs)]
+
+    def matrix(self, nrows):
+        """The canonical basis as the columns of a matrix."""
+        return ExactMatrix.from_columns(self.spec, nrows, self.columns())
+
+    def rank(self):
+        return len(self.vecs)

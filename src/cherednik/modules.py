@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .algebra import CherednikParameter, commutator_telescope
 from .groups import Irrep, ReflectionGroup
-from .linalg import ExactMatrix
+from .linalg import Echelon, ExactMatrix
 from .scalars import as_integer
 
 
@@ -244,68 +244,6 @@ def verma_module(group: ReflectionGroup, par: CherednikParameter,
 # ---------------------------------------------------------------------------
 # spinning, submodules, quotients
 
-def _vec_sub_scaled(v, w, c):
-    """v - c*w on sparse dicts."""
-    out = dict(v)
-    for i, x in w.items():
-        s = out.get(i)
-        s = -c * x if s is None else s - c * x
-        if s is None or s.is_zero():
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
-
-
-class _Echelon:
-    """Incremental reduced echelon with topmost-support pivots; the final
-    column set is the unique canonical basis matrix of the span."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.cols = {}  # pivot row -> sparse column with 1 at pivot
-
-    def insert(self, v):
-        v = {i: c for i, c in v.items() if not c.is_zero()}
-        while v:
-            p = min(v)
-            r = self.cols.get(p)
-            if r is None:
-                break
-            v = _vec_sub_scaled(v, r, v[p])
-        if not v:
-            return None
-        p = min(v)
-        inv = self.spec.one() / v[p]
-        v = {i: c * inv for i, c in v.items()}
-        # clear remaining pivot rows (all strictly below p) from v
-        for q in sorted(self.cols):
-            if q > p and q in v:
-                v = _vec_sub_scaled(v, self.cols[q], v[q])
-        for q, r in list(self.cols.items()):
-            if p in r:
-                self.cols[q] = _vec_sub_scaled(r, v, r[p])
-        self.cols[p] = v
-        return v
-
-    def contains(self, v):
-        v = dict(v)
-        while v:
-            p = min(v)
-            r = self.cols.get(p)
-            if r is None:
-                return False
-            v = _vec_sub_scaled(v, r, v[p])
-        return True
-
-    def matrix(self, nrows):
-        cols = [self.cols[p] for p in sorted(self.cols)]
-        return ExactMatrix.from_columns(self.spec, nrows, cols)
-
-    def rank(self):
-        return len(self.cols)
-
-
 def graded_spin(module: GradedModule, seeds) -> ExactMatrix:
     """Canonical basis matrix of the smallest graded submodule containing
     the given homogeneous seed vectors (sparse dicts)."""
@@ -313,7 +251,7 @@ def graded_spin(module: GradedModule, seeds) -> ExactMatrix:
         degs = {module.degrees[i] for i, c in v.items() if not c.is_zero()}
         if len(degs) > 1:
             raise ModuleError("seed vector is not homogeneous")
-    ech = _Echelon(module.spec)
+    ech = Echelon(module.spec)
     work = []
     for v in seeds:
         r = ech.insert(v)
@@ -334,36 +272,25 @@ def graded_spin(module: GradedModule, seeds) -> ExactMatrix:
 
 
 def is_invariant_subspace(module: GradedModule, basis: ExactMatrix) -> bool:
-    ech = _Echelon(module.spec)
-    cols = basis.columns()
-    for c in cols:
-        ech.insert(c)
-    for m in module.mats:
-        for c in (m * basis).columns():
-            if not ech.contains(c):
-                return False
-    return True
+    ech = Echelon(module.spec, basis.columns())
+    return all(ech.contains(c) for m in module.mats
+               for c in (m * basis).columns())
 
 
 class Quotient:
     """A graded quotient module together with its projection data."""
 
-    __slots__ = ("module", "kept_rows", "_pivot_of", "_pos")
+    __slots__ = ("module", "kept_rows", "_sub", "_pos")
 
     def __init__(self, module, kept_rows, sub_basis):
         self.module = module
         self.kept_rows = kept_rows
         self._pos = {r: i for i, r in enumerate(kept_rows)}
-        pivots = {min(col): col for col in sub_basis.columns()}
-        self._pivot_of = [(p, pivots[p]) for p in sorted(pivots)]
+        self._sub = Echelon(sub_basis.spec, sub_basis.columns())
 
     def project(self, v):
         """Coordinates of the image of a vector of the big module."""
-        v = dict(v)
-        for p, col in self._pivot_of:
-            if p in v:
-                v = _vec_sub_scaled(v, col, v[p])
-        return {self._pos[i]: c for i, c in v.items() if not c.is_zero()}
+        return {self._pos[i]: c for i, c in self._sub.reduce(v).items()}
 
 
 def quotient_module(module: GradedModule, sub: ExactMatrix) -> Quotient:
@@ -372,10 +299,8 @@ def quotient_module(module: GradedModule, sub: ExactMatrix) -> Quotient:
     homogeneous, so the quotient grading is inherited)."""
     if sub.ncols and not is_invariant_subspace(module, sub):
         raise ModuleError("subspace is not generator-invariant")
-    cols = sub.columns()
-    pivot_rows = sorted(min(c) for c in cols) if cols else []
-    pivset = set(pivot_rows)
-    kept = [i for i in range(module.dim) if i not in pivset]
+    pivots = {min(c) for c in sub.columns() if c}
+    kept = [i for i in range(module.dim) if i not in pivots]
     q = Quotient(None, kept, sub)
     degrees = [module.degrees[i] for i in kept]
     mats = []
@@ -495,7 +420,8 @@ def _multiplicities(group, spec, class_traces):
         for dgr, traces in class_traces.items():
             s = spec.zero()
             for t, w in zip(traces, weights):
-                s = s + t * w
+                if not t.is_zero():
+                    s = s + t * w
             m = as_integer(s, group.order)
             if m:
                 row[dgr] = m

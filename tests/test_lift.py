@@ -25,7 +25,7 @@ from cherednik.lift import (
 from cherednik.linalg import ExactMatrix
 from cherednik.meataxe import chop, is_isomorphic, radical
 from cherednik.modules import GradedModule, dual_character, \
-    graded_character, verma_character, verma_module
+    graded_character, graded_spin, verma_character, verma_module
 from cherednik.scalars import QQ, RationalFunctionField, reduce_mod_prime
 
 
@@ -365,6 +365,18 @@ def test_dual_spin_character_matches_the_quotient_head(case):
         assert character == graded_character(G, head)
         assert pseries == head.poincare_series()
         assert sum(pseries.values()) == head.dim
+
+
+@pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
+                                  "B2_hyp", "G4_k13"])
+def test_dual_spin_over_the_ys_is_the_full_spin(case):
+    # dual_spin spins the degree-0 functionals under the transposed y's
+    # alone; the spin under every transposed generator is the oracle
+    G, par, _ = oracle_cases()[case]
+    for rho in G.irreps:
+        V = verma_module(G, par, rho)
+        seeds = [{i: V.spec.one()} for i, d in enumerate(V.degrees) if d == 0]
+        assert dual_spin(V) == graded_spin(V.transpose(), seeds)
 
 
 def test_peel_needs_every_member_head():

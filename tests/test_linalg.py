@@ -73,6 +73,63 @@ def test_nullspace():
     assert (M * N).is_zero()
 
 
+def gauss_jordan(rows):
+    """Reference reduced row echelon form of a list of Fraction rows:
+    (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        top = len(pivots)
+        hit = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[top], rows[hit] = rows[hit], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def rank_deficient(rng, n, m, rank, scalar):
+    """An n x m list of rows that is a product (n x rank)(rank x m)."""
+    a = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(n)]
+    b = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rank)]
+    return [[scalar(sum(a[i][t] * b[t][j] for t in range(rank)))
+             for j in range(m)] for i in range(n)]
+
+
+def test_rref_matches_reference_gauss_jordan():
+    rng = random.Random(11)
+    for _ in range(40):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        rows = rank_deficient(rng, n, m, rng.randint(0, min(n, m)),
+                              lambda v: Fraction(v, rng.choice([1, 2, 3])))
+        want, want_pivots = gauss_jordan(rows)
+        got, pivots = ExactMatrix.from_rows(QQ, rows).rref()
+        assert pivots == want_pivots
+        assert got == ExactMatrix.from_rows(QQ, want)
+
+
+def test_nullspace_over_function_field():
+    F = RationalFunctionField(QQ, "k")
+    k = F.var()
+    rng = random.Random(12)
+    for _ in range(8):
+        n, m = rng.randint(2, 5), rng.randint(2, 5)
+        rows = rank_deficient(rng, n, m, rng.randint(1, min(n, m) - 1),
+                              lambda v: F.scalar(v))
+        M = ExactMatrix.from_rows(F, rows)
+        # scale each column by a unit of Q(k)
+        M = M * ExactMatrix(F, m, m, {(j, j): k + rng.randint(1, 3)
+                                      for j in range(m)})
+        N = M.nullspace()
+        assert (M * N).is_zero()
+        assert N.rank() == N.ncols
+        assert M.rank() + N.ncols == m
+
+
 def test_solve_inconsistent():
     M = ExactMatrix.from_rows(QQ, [[1, 0], [1, 0]])
     assert M.solve({0: QQ.one(), 1: QQ.scalar(2)}) is None
