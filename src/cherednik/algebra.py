@@ -9,6 +9,8 @@ product on tensor-algebra words serves as an independent oracle.
 
 from __future__ import annotations
 
+import functools
+
 from .groups import ReflectionGroup
 from .multipoly import MultiPoly
 from .scalars import FieldError, PolyRing, RationalFunctionField, Scalar, \
@@ -129,13 +131,13 @@ def ggor_from_values(group, ring, values):
     return GGORParameter(group, ring, k)
 
 
-def restrict_to_hyperplane(group: ReflectionGroup, form_text: str,
-                           var_name: str = "k") -> GGORParameter:
+def restrict_to_hyperplane(group: ReflectionGroup,
+                           form_text: str) -> GGORParameter:
     """Generic point of a hyperplane in GGOR parameter space.
 
     The linear form (e.g. ``k1_1 - 2*k1_2``) must involve the group's two
     free GGOR indices; the solution line is parametrized by one fresh
-    indeterminate over the group's base field.
+    indeterminate k over the group's base field.
     """
     names = []
     for orbit in group.hyperplane_orbits:
@@ -157,7 +159,7 @@ def restrict_to_hyperplane(group: ReflectionGroup, form_text: str,
     b = coeffs.get(1, group.spec.zero())
     if a.is_zero() and b.is_zero():
         raise ParameterError("zero hyperplane equation")
-    ring = RationalFunctionField(group.spec, var_name)
+    ring = RationalFunctionField(group.spec, "k")
     kvar = ring.var()
     # the line a*v1 + b*v2 = 0 is parametrized by (-b, a) * k;
     # flip the sign when the leading coordinate is negative
@@ -457,7 +459,7 @@ class CherednikAlgebra:
             self._comm[key] = hit
         return hit
 
-    def commutator_y_xpow(self, i, mu, include_t=True) -> PBWElement:
+    def commutator_y_xpow(self, i, mu) -> PBWElement:
         """PBW form of [y_i, x^mu]."""
         mu = tuple(mu)
         parts = {}
@@ -465,7 +467,7 @@ class CherednikAlgebra:
         for s_elem, poly in group_part.items():
             parts[s_elem] = parts.get(
                 s_elem, MultiPoly.zero(self.ring, self.nvars)) + poly
-        if include_t and not self.par.t.is_zero() and mu[i] > 0:
+        if not self.par.t.is_zero() and mu[i] > 0:
             e = [0] * self.nvars
             for a in range(self.n):
                 e[a] = mu[a]
@@ -695,23 +697,25 @@ def euler_family_scalar(group, par: CherednikParameter, rho) -> Scalar:
     It is sum_s eps_s/(eps_s - 1) c(s) chi_rho(s) / dim rho, linear in c:
     sum_j a_j c_j / dim rho over the reflection classes j, with
     a_j = sum_{s in class j} eps_s/(eps_s - 1) chi_rho(s) over the group's
-    field, kept per irrep on the group (``group._euler_forms``)."""
-    form = group._euler_forms.get(rho)
-    if form is None:
-        K = group.spec
-        chi = rho.character()
-        form = [K.zero()] * group.num_reflection_classes
-        for s in group.reflections:
-            w = s.eps / (s.eps - K.one())
-            form[s.refl_class] = form[s.refl_class] \
-                + w * chi[group.class_of[s.element]]
-        group._euler_forms[rho] = form
+    field, computed once per (group, irrep) by ``_euler_form``."""
     ring = par.ring
     total = ring.zero()
-    for a, cj in zip(form, par.c):
+    for a, cj in zip(_euler_form(group, rho), par.c):
         if not cj.is_zero():
             total = total + ring.embed(a) * cj
     return total / ring.scalar(rho.dim)
+
+
+@functools.cache
+def _euler_form(group, rho):
+    K = group.spec
+    chi = rho.character()
+    form = [K.zero()] * group.num_reflection_classes
+    for s in group.reflections:
+        w = s.eps / (s.eps - K.one())
+        form[s.refl_class] = form[s.refl_class] \
+            + w * chi[group.class_of[s.element]]
+    return form
 
 
 def euler_families(group, par: CherednikParameter):

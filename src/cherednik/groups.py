@@ -4,17 +4,23 @@ algebras, and the fake-degree labels used to name characters."""
 
 from __future__ import annotations
 
+import functools
 import os
 from fractions import Fraction
 
 from .linalg import ExactMatrix
 from .multipoly import MultiPoly, buchberger, normal_form, standard_monomials
-from .scalars import QQ, FieldError, PolyRing, Scalar, as_integer, \
-    cyclotomic_field, parse_scalar
+from .scalars import QQ, FieldError, Scalar, as_integer, cyclotomic_field, \
+    parse_scalar
 
 
 class GroupDataError(Exception):
     pass
+
+
+# enumeration bound: group data read from a file that generates a bigger
+# (or an infinite) matrix group is rejected
+MAX_GROUP_ORDER = 20000
 
 
 # -- small dense matrix helpers on tuples of tuples of Scalars --------------
@@ -164,7 +170,7 @@ class Irrep:
     """Shipped irreducible representation; matrices indexed by generator."""
 
     __slots__ = ("group", "gen_matrices", "dim", "label", "b_invariant",
-                 "fake_degree", "_element_matrices")
+                 "fake_degree")
 
     def __init__(self, group, gen_matrices, label=None):
         self.group = group
@@ -173,24 +179,17 @@ class Irrep:
         self.label = label
         self.b_invariant = None
         self.fake_degree = None
-        self._element_matrices = None
 
+    @functools.cache
     def matrix(self, element_index):
-        if self._element_matrices is None:
-            self._build()
-        return self._element_matrices[element_index]
-
-    def _build(self):
+        """rho(g), multiplied out along g's enumeration word.  The
+        recursion is as deep as that word is long; ``_validate_irreps``
+        fills the cache in index order, in which every parent comes first."""
         G = self.group
-        spec = G.spec
-        mats = [None] * len(G.elements)
-        mats[G.identity] = mat_identity(spec, self.dim)
-        for idx in G.bfs_order:
-            if mats[idx] is not None:
-                continue
-            parent, gi = G.parent_edge[idx]
-            mats[idx] = mat_mul(spec, mats[parent], self.gen_matrices[gi])
-        self._element_matrices = mats
+        if element_index == G.identity:
+            return mat_identity(G.spec, self.dim)
+        parent, gi = G.parent_edge[element_index]
+        return mat_mul(G.spec, self.matrix(parent), self.gen_matrices[gi])
 
     def character(self):
         """Character value on each conjugacy class."""
@@ -227,8 +226,6 @@ class CoinvariantAlgebra:
                 raise GroupDataError(
                     "a variable is not a standard monomial of the "
                     "coinvariant algebra")
-        self._nf_cache = {}
-        self._action_cache = {}
 
     def nf(self, poly: MultiPoly):
         return normal_form(poly, self.groebner)
@@ -238,28 +235,19 @@ class CoinvariantAlgebra:
         nf = self.nf(poly)
         return {self.index[e]: c for e, c in nf.terms.items()}
 
+    @functools.cache
     def multiply(self, e1, e2):
         """Structure constants: product of two basis monomials."""
-        key = (e1, e2)
-        hit = self._nf_cache.get(key)
-        if hit is None:
-            p = MultiPoly(self.spec, self.n,
-                          {tuple(a + b for a, b in zip(e1, e2)):
-                           self.spec.one()})
-            hit = self.nf_coeffs(p)
-            self._nf_cache[key] = hit
-        return hit
+        p = MultiPoly(self.spec, self.n,
+                      {tuple(a + b for a, b in zip(e1, e2)): self.spec.one()})
+        return self.nf_coeffs(p)
 
+    @functools.cache
     def act(self, element_index, mono):
         """Normal form of g . monomial, as index -> Scalar."""
-        key = (element_index, mono)
-        hit = self._action_cache.get(key)
-        if hit is None:
-            imgs = self.group.variable_images(element_index, self.side)
-            p = MultiPoly(self.spec, self.n, {mono: self.spec.one()})
-            hit = self.nf_coeffs(p.substitute(imgs))
-            self._action_cache[key] = hit
-        return hit
+        imgs = self.group.variable_images(element_index, self.side)
+        p = MultiPoly(self.spec, self.n, {mono: self.spec.one()})
+        return self.nf_coeffs(p.substitute(imgs))
 
     def structure_constants(self):
         for e1 in self.monomials:
@@ -269,7 +257,7 @@ class CoinvariantAlgebra:
 
 class ReflectionGroup:
     def __init__(self, spec, gen_matrices, name="G", irrep_data=None,
-                 param_types=None, invariants_text=None):
+                 param_types=None):
         self.spec = spec
         self.name = name
         self.gens = [tuple(tuple(v for v in row) for row in m)
@@ -279,14 +267,6 @@ class ReflectionGroup:
         self._conjugacy_classes()
         self._find_reflections()
         self.param_types = param_types or {}
-        self._invariants_text = invariants_text or {}
-        self._invariants = {}
-        self._coinvariants = {}
-        self._dual_mats = None
-        self._x_tables = None  # filled by modules.x_tables
-        self._vermas = {}  # irrep -> per-irrep cache of modules.py
-        self._euler_forms = {}  # irrep -> algebra.euler_family_scalar's a_j
-        self._bad_primes = None  # filled by restricted.bad_primes
         self.irreps = []
         if irrep_data:
             for label, mats in irrep_data:
@@ -295,7 +275,7 @@ class ReflectionGroup:
             self._assign_labels()
 
     # -- enumeration ---------------------------------------------------------
-    def _enumerate(self, limit=20000):
+    def _enumerate(self):
         spec = self.spec
         ident = mat_identity(spec, self.n)
         self.elements = [ident]
@@ -310,9 +290,9 @@ class ReflectionGroup:
                 j = index.get(m)
                 if j is None:
                     j = len(self.elements)
-                    if j >= limit:
+                    if j >= MAX_GROUP_ORDER:
                         raise GroupDataError("group enumeration exceeded "
-                                             f"{limit} elements")
+                                             f"{MAX_GROUP_ORDER} elements")
                     self.elements.append(m)
                     index[m] = j
                     self.parent_edge[j] = (i, gi)
@@ -451,16 +431,10 @@ class ReflectionGroup:
             raise GroupDataError("group is not generated by its reflections")
 
     # -- actions ---------------------------------------------------------------
+    @functools.cache
     def dual_matrix(self, element_index):
         """Action on V* in the dual basis: inverse transpose."""
-        if self._dual_mats is None:
-            self._dual_mats = [None] * self.order
-        m = self._dual_mats[element_index]
-        if m is None:
-            inv = self.elements[self.inverse[element_index]]
-            m = mat_transpose(inv)
-            self._dual_mats[element_index] = m
-        return m
+        return mat_transpose(self.elements[self.inverse[element_index]])
 
     def variable_images(self, element_index, side):
         """Images of the coordinate variables under g as MultiPolys.
@@ -490,13 +464,8 @@ class ReflectionGroup:
             total = total + poly.substitute(self.variable_images(g, side))
         return total.scale(Fraction(1, self.order))
 
-    def fundamental_invariants(self, side="V"):
-        if side in self._invariants:
-            return self._invariants[side]
-        if side in self._invariants_text:
-            polys = [self._parse_poly(t) for t in self._invariants_text[side]]
-            self._invariants[side] = polys
-            return polys
+    @functools.cache
+    def fundamental_invariants(self, side):
         chosen = []
         degree = 1
         max_degree = 2 * self.order + 2
@@ -522,19 +491,11 @@ class ReflectionGroup:
             raise GroupDataError(
                 f"fundamental invariant degrees multiply to {prod}, "
                 f"expected the group order {self.order}")
-        self._invariants[side] = chosen
         return chosen
 
-    def _parse_poly(self, text):
-        ring = PolyRing(self.spec, [f"x{i+1}" for i in range(self.n)])
-        s = parse_scalar(text, ring)
-        terms = {e: Scalar(self.spec, c) for e, c in s.payload}
-        return MultiPoly(self.spec, self.n, terms)
-
-    def coinvariant_algebra(self, side="V") -> CoinvariantAlgebra:
-        if side not in self._coinvariants:
-            self._coinvariants[side] = CoinvariantAlgebra(self, side)
-        return self._coinvariants[side]
+    @functools.cache
+    def coinvariant_algebra(self, side) -> CoinvariantAlgebra:
+        return CoinvariantAlgebra(self, side)
 
     # -- characters and labels ---------------------------------------------------
     def _validate_irreps(self):
@@ -747,7 +708,6 @@ def load_group_file(path) -> ReflectionGroup:
                               'matrix' keyword per generator
         paramtype <name> vars <v1> <v2> ...
         c<i> = <expr>      -- inside a paramtype block
-        invariants V | V*  -- optional, one polynomial in x1..xn per line
     """
     with open(path) as fh:
         lines = [ln.rstrip() for ln in fh]
@@ -763,7 +723,6 @@ def load_group_file(path) -> ReflectionGroup:
     gens = []
     irreps = []
     param_types = {}
-    invariants_text = {}
 
     def read_matrix(nrows):
         nonlocal pos
@@ -815,31 +774,21 @@ def load_group_file(path) -> ReflectionGroup:
                 exprs[int(left.strip()[1:])] = right.strip()
                 pos += 1
             param_types[tname] = (tuple(varnames), exprs)
-        elif head == "invariants":
-            side = parts[1]
-            count = int(parts[2])
-            pos += 1
-            texts = []
-            for _ in range(count):
-                texts.append(lines[pos].strip())
-                pos += 1
-            invariants_text[side] = texts
         else:
             raise GroupDataError(f"unknown directive {head!r}")
 
     return ReflectionGroup(spec, gens, name=name, irrep_data=irreps,
-                           param_types=param_types,
-                           invariants_text=invariants_text)
-
-
-_GROUP_CACHE = {}
+                           param_types=param_types)
 
 
 def load_group(name) -> ReflectionGroup:
-    key = (data_directory(), name)
-    if key not in _GROUP_CACHE:
-        path = os.path.join(data_directory(), f"{name}.grp")
-        if not os.path.exists(path):
-            raise GroupDataError(f"unknown group {name!r} (no file {path})")
-        _GROUP_CACHE[key] = load_group_file(path)
-    return _GROUP_CACHE[key]
+    """The named group of the data directory, loaded once per directory."""
+    return _load_group(data_directory(), name)
+
+
+@functools.cache
+def _load_group(directory, name):
+    path = os.path.join(directory, f"{name}.grp")
+    if not os.path.exists(path):
+        raise GroupDataError(f"unknown group {name!r} (no file {path})")
+    return load_group_file(path)

@@ -14,9 +14,10 @@ At t = 0 the y's act linearly in c, so a Verma module is a pencil: one
 matrix Y_i^(j) per coordinate i and reflection class j, with y_i =
 sum_j c_j Y_i^(j), and g- and x-matrices that do not depend on c at all.
 The pencil and the closed-form graded character of each irrep are built
-on first use and cached on the group (``group._vermas``, keyed by the
-irrep); ``verma_module`` evaluates the pencil at a parameter and returns
-new matrices on every call.
+on first use and kept by ``functools.cache`` on ``_verma_pencil`` and
+``_verma_character_rows``, keyed by (group, irrep); ``verma_module``
+evaluates the pencil at a parameter and returns new matrices on every
+call.
 
 Graded characters come from class traces per degree.  ``verma_character``
 takes them in closed form from the coinvariants; ``dual_character`` reads
@@ -25,6 +26,8 @@ vector and class; ``graded_character`` multiplies out degree blocks of any
 module's g-matrices and serves the tests as the oracle of both."""
 
 from __future__ import annotations
+
+import functools
 
 from .algebra import CherednikParameter, commutator_telescope
 from .groups import Irrep, ReflectionGroup
@@ -91,24 +94,23 @@ class GradedModule:
 # ---------------------------------------------------------------------------
 # lowering tables
 
+@functools.cache
 def x_tables(group: ReflectionGroup):
     """Per (coordinate i, reflection s): sparse matrix over the base field
     with row mu listing the coinvariant coefficients of the group-part
     factor of y_i acting on the monomial x^mu (``commutator_telescope``),
     built once per group."""
-    if group._x_tables is None:
-        co = group.coinvariant_algebra("V")
-        tables = {}
-        for s in group.reflections:
-            for i in range(group.n):
-                rows = {}
-                for mu_idx, mu in enumerate(co.monomials):
-                    row = co.nf_coeffs(commutator_telescope(group, s, i, mu))
-                    if row:
-                        rows[mu_idx] = row
-                tables[(i, s.element)] = rows
-        group._x_tables = tables
-    return group._x_tables
+    co = group.coinvariant_algebra("V")
+    tables = {}
+    for s in group.reflections:
+        for i in range(group.n):
+            rows = {}
+            for mu_idx, mu in enumerate(co.monomials):
+                row = co.nf_coeffs(commutator_telescope(group, s, i, mu))
+                if row:
+                    rows[mu_idx] = row
+            tables[(i, s.element)] = rows
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +125,6 @@ def _add_entry(entries, key, add):
         entries.pop(key, None)
     else:
         entries[key] = cur
-
-
-def _irrep_cache(group: ReflectionGroup, rho: Irrep):
-    """The per-irrep cache of rho's Verma module on the group: a dict that
-    fills lazily with the keys "pencil" (``_verma_pencil``) and
-    "character" (``verma_character``'s rows)."""
-    return group._vermas.setdefault(rho, {})
 
 
 def _element_column(group: ReflectionGroup, rho: Irrep, g, col, rows=None):
@@ -151,15 +146,13 @@ def _element_column(group: ReflectionGroup, rho: Irrep, g, col, rows=None):
     return out
 
 
+@functools.cache
 def _verma_pencil(group: ReflectionGroup, rho: Irrep):
     """Everything about rho's Verma module that does not depend on c, as
     sparse entry dicts over the group's field: (basis degrees, ys, gxs).
     ys[i][j] is the matrix Y_i^(j) with y_i = sum_j c_j Y_i^(j) over the
     reflection classes j; gxs holds the g-matrices, then the x-matrices.
-    Built on first use and kept in the per-irrep cache."""
-    cache = _irrep_cache(group, rho)
-    if "pencil" in cache:
-        return cache["pencil"]
+    Built once per (group, irrep)."""
     co = group.coinvariant_algebra("V")
     n = group.n
     d = rho.dim
@@ -203,8 +196,7 @@ def _verma_pencil(group: ReflectionGroup, rho: Irrep):
                     entries[(eta_idx * d + k, mu_idx * d + k)] = coeff
         gxs.append(entries)
 
-    cache["pencil"] = (degrees, ys, gxs)
-    return cache["pencil"]
+    return degrees, ys, gxs
 
 
 def verma_module(group: ReflectionGroup, par: CherednikParameter,
@@ -365,17 +357,18 @@ def graded_character(group: ReflectionGroup, module: GradedModule):
 
 def verma_character(group: ReflectionGroup, rho: Irrep):
     """graded_character of the Verma module of rho without building it: its
-    degree-d part is the degree-d coinvariants tensor rho.  The rows are
-    kept in the per-irrep cache; each call returns a copy."""
-    cache = _irrep_cache(group, rho)
-    if "character" not in cache:
-        chi = rho.character()
-        class_traces = {
-            dgr: [t * c for t, c in zip(traces, chi)]
-            for dgr, traces in enumerate(
-                group.graded_coinvariant_characters())}
-        cache["character"] = _multiplicities(group, group.spec, class_traces)
-    return [dict(row) for row in cache["character"]]
+    degree-d part is the degree-d coinvariants tensor rho.  Each call
+    returns a copy of the rows ``_verma_character_rows`` keeps."""
+    return [dict(row) for row in _verma_character_rows(group, rho)]
+
+
+@functools.cache
+def _verma_character_rows(group: ReflectionGroup, rho: Irrep):
+    chi = rho.character()
+    class_traces = {
+        dgr: [t * c for t, c in zip(traces, chi)]
+        for dgr, traces in enumerate(group.graded_coinvariant_characters())}
+    return _multiplicities(group, group.spec, class_traces)
 
 
 def dual_character(group: ReflectionGroup, rho: Irrep, dual: ExactMatrix):

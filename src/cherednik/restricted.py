@@ -3,6 +3,8 @@ quotient, and the integrality machinery guarding finite-field reduction."""
 
 from __future__ import annotations
 
+import functools
+
 from .algebra import CherednikAlgebra, CherednikParameter, PBWElement
 from .groups import ReflectionGroup
 from .multipoly import MultiPoly
@@ -63,13 +65,12 @@ class RestrictedAlgebra:
         return self.base.one()
 
 
+@functools.cache
 def bad_primes(group: ReflectionGroup):
     """Primes dividing any denominator in: coinvariant structure constants
     (both sides), generator matrices, or their inverses.  Reduction of the
     restricted algebra's structure constants is safe away from this set.
     Computed once per group."""
-    if group._bad_primes is not None:
-        return group._bad_primes
     dens = set()
     for side in ("V", "V*"):
         co = group.coinvariant_algebra(side)
@@ -88,8 +89,7 @@ def bad_primes(group: ReflectionGroup):
     primes = set()
     for d in dens:
         primes.update(_prime_factors(d))
-    group._bad_primes = frozenset(primes)
-    return group._bad_primes
+    return frozenset(primes)
 
 
 def is_potentially_integral(group: ReflectionGroup, par: CherednikParameter,

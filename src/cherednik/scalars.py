@@ -895,20 +895,6 @@ def _hashable(p):
 # ---------------------------------------------------------------------------
 # operations of the module surface
 
-def scalar_arithmetic(a: Scalar, b: Scalar, op: str) -> Scalar:
-    if a.spec != b.spec:
-        raise FieldError("operands live in different coefficient domains")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise FieldError(f"unknown operation {op!r}")
-
-
 def reduce_mod_prime(a: Scalar, p: int, root: int = 0) -> Scalar:
     """Ring-morphism image of a rational or number-field scalar in F_p.
 
@@ -1036,11 +1022,9 @@ class _Tokens:
         return t
 
 
-def parse_scalar(text: str, spec: FieldSpec, symbols=None) -> Scalar:
+def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
     """Parse the shared scalar text syntax into a Scalar of ``spec``."""
-    syms = dict(spec.variables())
-    if symbols:
-        syms.update(symbols)
+    syms = spec.variables()
     toks = _Tokens(text)
 
     def atom():
@@ -1050,8 +1034,7 @@ def parse_scalar(text: str, spec: FieldSpec, symbols=None) -> Scalar:
         if kind == "name":
             if val not in syms:
                 raise FieldError(f"unknown symbol {val!r}")
-            return spec.embed(syms[val]) if isinstance(syms[val], Scalar) \
-                else spec.scalar(syms[val])
+            return spec.embed(syms[val])
         if kind == "(":
             v = expr()
             k, _ = toks.next()

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cherednik.algebra import CherednikAlgebra, CherednikParameter
 from cherednik.groups import load_group
+from cherednik.modules import _verma_character_rows, _verma_pencil, x_tables
 from cherednik.multipoly import MultiPoly
 from cherednik.restricted import (
     RestrictedAlgebra,
@@ -104,9 +107,21 @@ def test_bad_primes_g4():
         assert p not in primes
 
 
-def test_bad_primes_computed_once_per_group():
+@pytest.mark.parametrize("compute", [
+    pytest.param(bad_primes, id="bad_primes"),
+    pytest.param(x_tables, id="x_tables"),
+    pytest.param(lambda G: _verma_pencil(G, G.irreps[4]), id="verma_pencil"),
+    pytest.param(lambda G: _verma_character_rows(G, G.irreps[4]),
+                 id="verma_character_rows"),
+    pytest.param(lambda G: G.coinvariant_algebra("V"),
+                 id="coinvariant_algebra"),
+    pytest.param(lambda G: G.fundamental_invariants("V"),
+                 id="fundamental_invariants"),
+    pytest.param(lambda G: load_group(G.name), id="load_group"),
+])
+def test_computed_once_per_group(compute):
     G = load_group("B2")
-    assert bad_primes(G) is bad_primes(G)
+    assert compute(G) is compute(G)
 
 
 def test_potentially_integral():
