@@ -77,7 +77,8 @@ class GGORParameter:
         return GGORParameter(self.group, self.ring, out)
 
     def to_cherednik(self, t=0) -> CherednikParameter:
-        """c(s) = sum_j det(s)^j (k_{orbit, j+1} - k_{orbit, j}), j mod e."""
+        """c(s) = sum_j det(s)^j (k_{orbit, j+1} - k_{orbit, j}), j mod e,
+        where det(s) is the reflection's non-unit eigenvalue eps."""
         G = self.group
         ring = self.ring
         values = []
@@ -85,7 +86,7 @@ class GGORParameter:
             rep = next(r for r in G.reflections
                        if G.class_of[r.element] == cls)
             e = G.hyperplane_orbits[rep.orbit].e
-            det = ring.embed(rep.det)
+            det = ring.embed(rep.eps)
             total = ring.zero()
             power = ring.one()
             for j in range(e):
@@ -188,34 +189,20 @@ def _is_negative_rational(s: Scalar):
 def commutator_telescope(group: ReflectionGroup, s, i, mu) -> MultiPoly:
     """The x-polynomial P_s(i, mu), in n variables over the group field, with
 
-        [y_i, x^mu] = t mu_i x^(mu - e_i) + sum_s c(s) P_s(i, mu) s:
+        [y_i, x^mu] = t mu_i x^(mu - e_i) + sum_s c(s) P_s(i, mu) s.
 
-    the telescoping sum over coordinates j of (y_i, x_j)_s times
-    x_1^mu_1 .. x_{j-1}^mu_{j-1}, times sum_l x_j^l (s x_j)^(mu_j - 1 - l),
-    times the s-image of x_{j+1}^mu_{j+1} .. x_n^mu_n."""
+    P_s(i, .) is a twisted derivation, so it follows the Leibniz rule
+    P_s(i, x^nu x_j) = P_s(i, x^nu) (s x_j) + (y_i, x_j)_s x^nu, with
+    P_s(i, 1) = 0; the loop applies it one variable at a time."""
     spec, n = group.spec, group.n
     imgs = group.variable_images(s.element, "V")
     total = MultiPoly.zero(spec, n)
+    nu = [0] * n
     for j in range(n):
-        mj = mu[j]
-        if mj == 0:
-            continue
         pij = s.pairing(i, j)
-        if pij.is_zero():
-            continue
-        start = tuple(mu[a] if a < j else 0 for a in range(n))
-        start_poly = MultiPoly(spec, n, {start: spec.one()})
-        mid = MultiPoly.zero(spec, n)
-        powers = [MultiPoly.constant(spec, n, spec.one())]
-        for _ in range(mj - 1):
-            powers.append(powers[-1] * imgs[j])
-        for l in range(mj):
-            e = tuple(l if a == j else 0 for a in range(n))
-            mono = MultiPoly(spec, n, {e: spec.one()})
-            mid = mid + mono * powers[mj - l - 1]
-        tail = tuple(mu[a] if a > j else 0 for a in range(n))
-        tail_img = MultiPoly(spec, n, {tail: spec.one()}).substitute(imgs)
-        total = total + (start_poly * mid * tail_img).scale(pij)
+        for _ in range(mu[j]):
+            total = total * imgs[j] + MultiPoly(spec, n, {tuple(nu): pij})
+            nu[j] += 1
     return total
 
 

@@ -63,10 +63,6 @@ def mat_inv(spec, a):
     return tuple(tuple(r[(i, n + j)] for j in range(n)) for i in range(n))
 
 
-def mat_transpose(a):
-    return tuple(zip(*a))
-
-
 def mat_sub_identity(spec, a):
     """id - a"""
     n = len(a)
@@ -75,17 +71,8 @@ def mat_sub_identity(spec, a):
                        for j in range(n)) for i in range(n))
 
 
-def mat_det(spec, a):
-    """Cofactor expansion along the first row."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    det = spec.zero()
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in a[1:])
-        t = a[0][j] * mat_det(spec, minor)
-        det = det + t if j % 2 == 0 else det - t
-    return det
+def _first_nonzero(vectors):
+    return next(v for v in vectors if any(not x.is_zero() for x in v))
 
 
 def _normalize_covector(row):
@@ -100,43 +87,28 @@ def _normalize_covector(row):
 class Reflection:
     """A group element with codimension-one fixed space."""
 
-    __slots__ = ("element", "matrix", "root", "coroot", "eps", "det",
-                 "hyperplane", "orbit", "triple", "conj_class", "refl_class",
-                 "_pair_denominator")
+    __slots__ = ("element", "matrix", "root", "coroot", "eps", "hyperplane",
+                 "orbit", "triple", "conj_class", "refl_class",
+                 "_pair_scale")
 
     def __init__(self, element, matrix, spec):
         self.element = element
         self.matrix = matrix
         diff = mat_sub_identity(spec, matrix)
-        n = len(matrix)
-        root = None
-        for j in range(n):
-            col = tuple(diff[i][j] for i in range(n))
-            if any(not v.is_zero() for v in col):
-                root = col
-                break
-        coroot = None
-        for i in range(n):
-            row = diff[i]
-            if any(not v.is_zero() for v in row):
-                coroot = row
-                break
-        self.root = root          # element of V (image of id - s)
-        self.coroot = coroot      # covector cutting out the fixed hyperplane
+        # the root spans the image of id - s in V; the coroot is a covector
+        # cutting out the fixed hyperplane
+        root = self.root = _first_nonzero(zip(*diff))
+        coroot = self.coroot = _first_nonzero(diff)
         denom = sum((c * r for c, r in zip(coroot, root)), spec.zero())
         if denom.is_zero():
             raise GroupDataError(
                 "non-diagonalizable reflection: root pairs to zero with its "
                 "coroot")
-        self._pair_denominator = denom
-        # nontrivial eigenvalue: s(root) = eps * root
-        img = tuple(sum((matrix[i][j] * root[j] for j in range(n)),
-                        spec.zero()) for i in range(n))
-        for i in range(n):
-            if not root[i].is_zero():
-                self.eps = img[i] / root[i]
-                break
-        self.det = mat_det(spec, matrix)
+        self._pair_scale = spec.one() / denom    # 1 / <coroot, root>
+        # nontrivial eigenvalue, s(root) = eps * root; it is also det(s)
+        i = next(i for i, v in enumerate(root) if not v.is_zero())
+        self.eps = sum((a * r for a, r in zip(matrix[i], root)),
+                       spec.zero()) / root[i]
         self.hyperplane = None
         self.orbit = None
         self.triple = None
@@ -145,7 +117,7 @@ class Reflection:
 
     def pairing(self, i, j):
         """(y_i, x_j)_s for basis vectors."""
-        return self.coroot[i] * self.root[j] / self._pair_denominator
+        return self.coroot[i] * self.root[j] * self._pair_scale
 
 
 def cartan_pairing(y, x, s: Reflection) -> Scalar:
@@ -154,7 +126,7 @@ def cartan_pairing(y, x, s: Reflection) -> Scalar:
     spec = s.eps.spec
     a = sum((c * v for c, v in zip(s.coroot, y)), spec.zero())
     b = sum((r * v for r, v in zip(s.root, x)), spec.zero())
-    return a * b / s._pair_denominator
+    return a * b * s._pair_scale
 
 
 class HyperplaneOrbit:
@@ -276,15 +248,18 @@ class ReflectionGroup:
 
     # -- enumeration ---------------------------------------------------------
     def _enumerate(self):
+        """Number the elements in breadth-first order from the identity
+        along right multiplication by the generators, so every element's
+        parent comes first, and fill the group table from the edges."""
         spec = self.spec
         ident = mat_identity(spec, self.n)
         self.elements = [ident]
         index = {ident: 0}
         self.parent_edge = {0: None}
-        self.bfs_order = [0]
-        queue = [0]
-        while queue:
-            i = queue.pop(0)
+        right = []      # right[i][gi]: the index of elements[i] * gens[gi]
+        while len(right) < len(self.elements):
+            i = len(right)
+            row = []
             for gi, g in enumerate(self.gens):
                 m = mat_mul(spec, self.elements[i], g)
                 j = index.get(m)
@@ -296,19 +271,20 @@ class ReflectionGroup:
                     self.elements.append(m)
                     index[m] = j
                     self.parent_edge[j] = (i, gi)
-                    self.bfs_order.append(j)
-                    queue.append(j)
+                row.append(j)
+            right.append(row)
         self.element_index = index
         self.order = len(self.elements)
         self.identity = 0
-        self.mult = [[index[mat_mul(spec, a, b)] for b in self.elements]
-                     for a in self.elements]
-        self.inverse = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.mult[i][j] == 0:
-                    self.inverse[i] = j
-                    break
+        # a * b = (a * parent(b)) * gens[gi(b)], and parent(b) < b
+        self.mult = []
+        for a in range(self.order):
+            row = [a]
+            for b in range(1, self.order):
+                parent, gi = self.parent_edge[b]
+                row.append(right[row[parent]][gi])
+            self.mult.append(row)
+        self.inverse = [row.index(0) for row in self.mult]
 
     def _conjugacy_classes(self):
         seen = [False] * self.order
@@ -317,11 +293,8 @@ class ReflectionGroup:
         for i in range(self.order):
             if seen[i]:
                 continue
-            cls = set()
-            for g in range(self.order):
-                h = self.mult[self.mult[g][i]][self.inverse[g]]
-                cls.add(h)
-            cls = sorted(cls)
+            cls = sorted({self.mult[self.mult[g][i]][self.inverse[g]]
+                          for g in range(self.order)})
             ci = len(self.conj_classes)
             for h in cls:
                 seen[h] = True
@@ -332,9 +305,7 @@ class ReflectionGroup:
     def _find_reflections(self):
         spec = self.spec
         refs = []
-        for i in self.bfs_order:
-            if i == self.identity:
-                continue
+        for i in range(1, self.order):
             m = self.elements[i]
             diff = mat_sub_identity(spec, m)
             em = ExactMatrix(spec, self.n, self.n,
@@ -355,14 +326,13 @@ class ReflectionGroup:
                 hyper_keys.append(key)
             r.hyperplane = hyper_index[key]
 
-        # orbits of hyperplanes under the dual action
+        # orbits of hyperplanes under the dual action, numbered in order of
+        # first appearance of a reflection, as the hyperplanes are
         orbit_of = [None] * len(hyper_keys)
-        orbits = []
+        num_orbits = 0
         for h, key in enumerate(hyper_keys):
             if orbit_of[h] is not None:
                 continue
-            oi = len(orbits)
-            members = set()
             for g in range(self.order):
                 ginv = self.elements[self.inverse[g]]
                 moved = _normalize_covector(
@@ -370,30 +340,16 @@ class ReflectionGroup:
                               self.spec.zero()) for b in range(self.n)))
                 hh = hyper_index.get(moved)
                 if hh is not None:
-                    members.add(hh)
-            members = sorted(members, key=lambda x: x)
-            for hh in members:
-                orbit_of[hh] = oi
-            orbits.append(members)
-
-        # orbit order fixed by first appearance of a reflection
-        orbit_order = []
-        for r in refs:
-            oi = orbit_of[r.hyperplane]
-            if oi not in orbit_order:
-                orbit_order.append(oi)
-        remap = {old: new for new, old in enumerate(orbit_order)}
+                    orbit_of[hh] = num_orbits
+            num_orbits += 1
 
         # nested library: orbit > hyperplane > reflection, in appearance order
         self.reflections = []
         self.hyperplane_orbits = []
         refl_class_order = []
-        for new_oi, old_oi in enumerate(orbit_order):
-            hyper_in_orbit = []
-            for r in refs:
-                if orbit_of[r.hyperplane] == old_oi \
-                        and r.hyperplane not in hyper_in_orbit:
-                    hyper_in_orbit.append(r.hyperplane)
+        for new_oi in range(num_orbits):
+            hyper_in_orbit = [h for h in range(len(hyper_keys))
+                              if orbit_of[h] == new_oi]
             e_orders = set()
             for jj, h in enumerate(hyper_in_orbit):
                 members = [r for r in refs if r.hyperplane == h]
@@ -415,26 +371,22 @@ class ReflectionGroup:
         self.num_reflection_classes = len(refl_class_order)
 
         # the group must be generated by its reflections
-        gen_set = {self.identity}
+        reached = {self.identity}
         frontier = [self.identity]
-        ref_idx = [r.element for r in self.reflections]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for r in ref_idx:
-                    c = self.mult[a][r]
-                    if c not in gen_set:
-                        gen_set.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        if len(gen_set) != self.order:
+        for a in frontier:
+            for r in self.reflections:
+                c = self.mult[a][r.element]
+                if c not in reached:
+                    reached.add(c)
+                    frontier.append(c)
+        if len(reached) != self.order:
             raise GroupDataError("group is not generated by its reflections")
 
     # -- actions ---------------------------------------------------------------
     @functools.cache
     def dual_matrix(self, element_index):
         """Action on V* in the dual basis: inverse transpose."""
-        return mat_transpose(self.elements[self.inverse[element_index]])
+        return tuple(zip(*self.elements[self.inverse[element_index]]))
 
     def variable_images(self, element_index, side):
         """Images of the coordinate variables under g as MultiPolys.
@@ -458,7 +410,7 @@ class ReflectionGroup:
         return out
 
     # -- invariant theory --------------------------------------------------------
-    def reynolds(self, poly: MultiPoly, side="V") -> MultiPoly:
+    def reynolds(self, poly: MultiPoly, side) -> MultiPoly:
         total = MultiPoly.zero(self.spec, self.n)
         for g in range(self.order):
             total = total + poly.substitute(self.variable_images(g, side))
@@ -466,7 +418,13 @@ class ReflectionGroup:
 
     @functools.cache
     def fundamental_invariants(self, side):
+        """Basic invariants: the Reynolds images of the monomials, degree by
+        degree, keeping each one outside the ideal that those kept so far
+        generate.  The test is exact: the kept ones are minimal homogeneous
+        generators of the ideal of positive-degree invariants, and those are
+        basic invariants (Chevalley 1955)."""
         chosen = []
+        groebner = buchberger(chosen)
         degree = 1
         max_degree = 2 * self.order + 2
         while len(chosen) < self.n:
@@ -478,12 +436,11 @@ class ReflectionGroup:
             for mono in _monomials_of_degree(self.n, degree):
                 p = MultiPoly(self.spec, self.n, {mono: self.spec.one()})
                 inv = self.reynolds(p, side)
-                if inv.is_zero():
-                    continue
-                if _jacobian_independent(chosen + [inv], self.spec, self.n):
+                if not normal_form(inv, groebner).is_zero():
                     chosen.append(inv.monic())
                     if len(chosen) == self.n:
                         break
+                    groebner = buchberger(chosen)
         prod = 1
         for f in chosen:
             prod *= f.total_degree()
@@ -613,70 +570,6 @@ def _monomials_of_degree(n, d):
             yield (first,) + rest
 
 
-def _jacobian_independent(polys, spec, nvars):
-    """Algebraic independence via the Jacobian criterion (char 0)."""
-    import random as _random
-    m = len(polys)
-    if m > nvars:
-        return False
-    partials = [[_partial(p, j) for j in range(nvars)] for p in polys]
-    rng = _random.Random(20240901)
-    for _ in range(6):
-        point = [spec.scalar(rng.randint(-7, 7)) for _ in range(nvars)]
-        rows = []
-        for prow in partials:
-            rows.append([_eval_poly(p, point, spec) for p in prow])
-        em = ExactMatrix.from_rows(spec, rows)
-        if em.rank() == m:
-            return True
-    # exact fallback: some m x m minor must be a nonzero polynomial
-    import itertools
-    for cols in itertools.combinations(range(nvars), m):
-        sub = [[partials[i][j] for j in cols] for i in range(m)]
-        if not _poly_det(sub, spec, nvars).is_zero():
-            return True
-    return False
-
-
-def _partial(p: MultiPoly, j):
-    terms = {}
-    for e, c in p.terms.items():
-        if e[j] == 0:
-            continue
-        ee = list(e)
-        k = ee[j]
-        ee[j] -= 1
-        ee = tuple(ee)
-        add = c * k
-        if ee in terms:
-            add = terms[ee] + add
-        terms[ee] = add
-    return MultiPoly(p.spec, p.nvars, terms)
-
-
-def _eval_poly(p: MultiPoly, point, spec):
-    total = spec.zero()
-    for e, c in p.terms.items():
-        v = c
-        for x, k in zip(point, e):
-            for _ in range(k):
-                v = v * x
-        total = total + v
-    return total
-
-
-def _poly_det(mat, spec, nvars):
-    m = len(mat)
-    if m == 1:
-        return mat[0][0]
-    out = MultiPoly.zero(spec, nvars)
-    for j in range(m):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        t = mat[0][j] * _poly_det(minor, spec, nvars)
-        out = out + t if j % 2 == 0 else out - t
-    return out
-
-
 # ---------------------------------------------------------------------------
 # group data files
 
@@ -687,11 +580,23 @@ def data_directory():
     return os.path.join(os.path.dirname(__file__), "data")
 
 
+def _positive_int(text, what):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise GroupDataError(f"{what} must be a positive integer, got "
+                             f"{text!r}")
+    return value
+
+
 def _parse_field_line(parts):
     if parts[0] == "rationals":
         return QQ
     if parts[0] == "cyclotomic":
-        n = int(parts[1])
+        n = _positive_int(parts[1] if len(parts) > 1 else "",
+                          "the cyclotomic order")
         name = parts[2] if len(parts) > 2 else None
         return cyclotomic_field(n, name)
     raise GroupDataError(f"unknown field kind {parts[0]!r}")
@@ -708,14 +613,13 @@ def load_group_file(path) -> ReflectionGroup:
                               'matrix' keyword per generator
         paramtype <name> vars <v1> <v2> ...
         c<i> = <expr>      -- inside a paramtype block
+
+    A malformed file raises GroupDataError naming the first problem.
     """
     with open(path) as fh:
         lines = [ln.rstrip() for ln in fh]
     lines = [ln for ln in lines if ln.strip() and not ln.strip().startswith("#")]
     pos = 0
-
-    def peek():
-        return lines[pos] if pos < len(lines) else None
 
     name = None
     spec = None
@@ -724,11 +628,21 @@ def load_group_file(path) -> ReflectionGroup:
     irreps = []
     param_types = {}
 
-    def read_matrix(nrows):
+    def read_matrix(what, nrows):
+        """nrows rows of nrows entries each."""
         nonlocal pos
+        if spec is None:
+            raise GroupDataError(f"{what} comes before the field line")
+        if pos + nrows > len(lines):
+            raise GroupDataError(f"{what}: the file ends before its "
+                                 f"{nrows} rows")
         rows = []
         for _ in range(nrows):
             entries = lines[pos].split()
+            if len(entries) != nrows:
+                raise GroupDataError(
+                    f"{what}: row {lines[pos].strip()!r} has "
+                    f"{len(entries)} entries, expected {nrows}")
             rows.append(tuple(parse_scalar(t, spec) for t in entries))
             pos += 1
         return tuple(rows)
@@ -736,6 +650,8 @@ def load_group_file(path) -> ReflectionGroup:
     while pos < len(lines):
         parts = lines[pos].split()
         head = parts[0]
+        if head in ("group", "field", "dim", "irrep") and len(parts) < 2:
+            raise GroupDataError(f"{head!r} line needs an argument")
         if head == "group":
             name = parts[1]
             pos += 1
@@ -743,40 +659,49 @@ def load_group_file(path) -> ReflectionGroup:
             spec = _parse_field_line(parts[1:])
             pos += 1
         elif head == "dim":
-            dim = int(parts[1])
+            dim = _positive_int(parts[1], "dim")
             pos += 1
         elif head == "generator":
+            if dim is None:
+                raise GroupDataError("generator comes before the dim line")
             pos += 1
-            gens.append(read_matrix(dim))
+            gens.append(read_matrix(f"generator {len(gens) + 1}", dim))
         elif head == "irrep":
             label = parts[1]
-            d = int(parts[2]) if len(parts) > 2 else None
+            d = parts[2] if len(parts) > 2 else ""
             pos += 1
             mats = []
             for _ in range(len(gens)):
-                if lines[pos].split()[0] != "matrix":
-                    raise GroupDataError("expected a matrix block")
-                rows = int(lines[pos].split()[1]) if len(
-                    lines[pos].split()) > 1 else d
+                block = lines[pos].split() if pos < len(lines) else [""]
+                if block[0] != "matrix":
+                    raise GroupDataError(
+                        f"irrep {label}: expected a matrix block")
+                rows = _positive_int(block[1] if len(block) > 1 else d,
+                                     f"irrep {label}'s dimension")
                 pos += 1
-                mats.append(read_matrix(rows))
+                mats.append(read_matrix(f"irrep {label}", rows))
             irreps.append((label, mats))
         elif head == "paramtype":
-            tname = parts[1]
-            if parts[2] != "vars":
+            if len(parts) < 3 or parts[2] != "vars":
                 raise GroupDataError("paramtype needs a vars list")
+            tname = parts[1]
             varnames = parts[3:]
             pos += 1
             exprs = {}
             while pos < len(lines) and "=" in lines[pos] \
                     and lines[pos].split()[0].startswith("c"):
                 left, right = lines[pos].split("=", 1)
-                exprs[int(left.strip()[1:])] = right.strip()
+                exprs[_positive_int(left.strip()[1:], "a class index")] = \
+                    right.strip()
                 pos += 1
             param_types[tname] = (tuple(varnames), exprs)
         else:
             raise GroupDataError(f"unknown directive {head!r}")
 
+    if spec is None:
+        raise GroupDataError("no field line")
+    if not gens:
+        raise GroupDataError("no generator")
     return ReflectionGroup(spec, gens, name=name, irrep_data=irreps,
                            param_types=param_types)
 

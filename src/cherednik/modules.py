@@ -6,9 +6,10 @@ and generator degrees; every construction checks that nonzero entries
 connect degrees compatibly.  Verma modules are assembled from the
 coinvariant algebra on the polynomial side: multiplication for the x's, the
 twisted group action for the g's, and lowering tables for the y's, which
-reduce the algebra's commutator formula (``algebra.commutator_telescope``)
-into the coinvariant algebra.  The table rows are independent of both the
-representation and the parameter, so they are built once per group.
+reduce the algebra's commutator formula (``algebra.commutator_telescope``,
+the Leibniz rule of a twisted derivation) into the coinvariant algebra.  The
+table rows are independent of both the representation and the parameter,
+so they are built once per group.
 
 At t = 0 the y's act linearly in c, so a Verma module is a pencil: one
 matrix Y_i^(j) per coordinate i and reflection class j, with y_i =
@@ -98,8 +99,9 @@ class GradedModule:
 def x_tables(group: ReflectionGroup):
     """Per (coordinate i, reflection s): sparse matrix over the base field
     with row mu listing the coinvariant coefficients of the group-part
-    factor of y_i acting on the monomial x^mu (``commutator_telescope``),
-    built once per group."""
+    factor P_s(i, mu) of y_i acting on the monomial x^mu, built once per
+    group.  ``commutator_telescope`` gives P_s(i, mu) by the Leibniz rule
+    P_s(i, x^nu x_j) = P_s(i, x^nu) (s x_j) + (y_i, x_j)_s x^nu."""
     co = group.coinvariant_algebra("V")
     tables = {}
     for s in group.reflections:
@@ -450,9 +452,7 @@ def check_module_relations(group: ReflectionGroup, par: CherednikParameter,
 
     # group relations along the enumeration words
     elem_mats = {group.identity: ExactMatrix.identity(spec, module.dim)}
-    for idx in group.bfs_order:
-        if idx in elem_mats:
-            continue
+    for idx in range(1, group.order):
         parent, gi = group.parent_edge[idx]
         elem_mats[idx] = elem_mats[parent] * gmats[gi]
     for gi, gmat in enumerate(group.gens):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -154,6 +155,25 @@ def test_product_equals_rewrite_oracle(name, count):
         a = random_pbw(A, rng)
         b = random_pbw(A, rng)
         assert A.product(a, b) == A.naive_rewrite_product(a, b)
+
+
+@pytest.mark.parametrize("name", ["S3", "B2"])
+def test_commutator_formula_against_rewrite_oracle(name):
+    # [y_i, x^mu] by the Leibniz-rule formula against the rewriting oracle,
+    # for every mu of total degree at most 6
+    A = make_algebra(name, t=1)
+    n = A.n
+    ident = A.group.identity
+    for mu in itertools.product(range(7), repeat=n):
+        if sum(mu) > 6:
+            continue
+        x_mu = PBW(A, {ident: MultiPoly(A.ring, A.nvars,
+                                        {mu + (0,) * n: A.ring.one()})})
+        for i in range(n):
+            y_i = A.y(i)
+            comm = A.naive_rewrite_product(y_i, x_mu) \
+                - A.naive_rewrite_product(x_mu, y_i)
+            assert A.commutator_y_xpow(i, mu) == comm
 
 
 def test_product_associative():

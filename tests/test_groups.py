@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from cherednik.groups import cartan_pairing, load_group
+from cherednik.groups import (GroupDataError, cartan_pairing, load_group,
+                              mat_mul)
 from cherednik.multipoly import MultiPoly
 from cherednik.scalars import QQ
 
@@ -177,11 +179,17 @@ def test_coinvariant_action_preserves_degree():
 def test_g4_reflection_class_order_det():
     G = load_group("G4")
     z = G.spec.gen()
-    # the first reflection class consists of determinant-z3 reflections
+
+    def det(r):
+        (a, b), (c, d) = r.matrix
+        return a * d - b * c
+
+    # the first reflection class consists of determinant-z3 reflections;
+    # a reflection's determinant is its non-unit eigenvalue eps
     first = [r for r in G.reflections if r.refl_class == 0]
-    assert all(r.det == z for r in first)
+    assert all(r.eps == z and det(r) == z for r in first)
     second = [r for r in G.reflections if r.refl_class == 1]
-    assert all(r.det == z * z for r in second)
+    assert all(r.eps == z * z and det(r) == z * z for r in second)
 
 
 @pytest.mark.parametrize("name", ["S3", "C2", "B2"])
@@ -205,3 +213,99 @@ def test_coinvariant_groebner_basis_matches_sympy(name):
                           order="lex", domain="QQ")
     assert as_set(to_sympy(g) for g in co.groebner) == as_set(want.polys)
     assert co.dim == len(co.monomials) == G.order
+
+
+@pytest.mark.parametrize("name", ["S3", "C2", "B2", "G4"])
+def test_group_table_is_the_matrix_product(name):
+    G = load_group(name)
+    for a in range(G.order):
+        for b in range(G.order):
+            m = mat_mul(G.spec, G.elements[a], G.elements[b])
+            assert G.mult[a][b] == G.element_index[m]
+        assert G.mult[a][G.inverse[a]] == G.identity
+
+
+# fundamental_invariants("V") as printed before the ideal-membership test
+# replaced the Jacobian test
+PINNED_INVARIANTS = {
+    "S3": "[x1^2 - x1*x2 + x2^2, x1^2*x2 - x1*x2^2]",
+    "B2": "[x1^2 + x2^2, x1^4 + x2^4]",
+    "G4": "[x1^4 - x1*x2^3, x1^6 + 5/2*x1^3*x2^3 - 1/8*x2^6]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INVARIANTS))
+def test_fundamental_invariants_pinned(name):
+    G = load_group(name)
+    assert repr(G.fundamental_invariants("V")) == PINNED_INVARIANTS[name]
+
+
+@pytest.mark.parametrize("side", ["V", "V*"])
+@pytest.mark.parametrize("name", ["S3", "C2", "B2"])
+def test_fundamental_invariants_against_sympy(name, side):
+    # each invariant is fixed by every generator, x -> M x on side V and
+    # y -> M^T y on side V*, and the Jacobian determinant of a set of basic
+    # invariants is a nonzero product of one linear form per reflection
+    sympy = pytest.importorskip("sympy")
+    G = load_group(name)
+    xs = sympy.symbols(f"x1:{G.n + 1}")
+    invs = [sympy.Add(*(sympy.Rational(c.payload.numerator,
+                                       c.payload.denominator)
+                        * sympy.Mul(*(x ** k for x, k in zip(xs, e)))
+                        for e, c in f.terms.items()))
+            for f in G.fundamental_invariants(side)]
+    assert len(invs) == G.n
+    for gen in G.gens:
+        m = sympy.Matrix([[sympy.Rational(v.payload.numerator,
+                                          v.payload.denominator)
+                           for v in row] for row in gen])
+        if side == "V*":
+            m = m.T
+        moved = dict(zip(xs, m * sympy.Matrix(xs)))
+        for f in invs:
+            assert sympy.expand(f.subs(moved, simultaneous=True) - f) == 0
+    jac = sympy.expand(sympy.Matrix(
+        [[sympy.diff(f, x) for x in xs] for f in invs]).det())
+    assert jac != 0
+    assert sympy.Poly(jac, *xs).total_degree() == len(G.reflections)
+
+
+@pytest.mark.parametrize("side", ["V", "V*"])
+def test_g4_fundamental_invariants_are_invariant(side):
+    G = load_group("G4")
+    invs = G.fundamental_invariants(side)
+    assert [f.total_degree() for f in invs] == [4, 6]
+    for gen in G.gens:
+        imgs = G.variable_images(G.element_index[gen], side)
+        for f in invs:
+            assert f.substitute(imgs) == f
+
+
+MALFORMED_GROUP_FILES = {
+    "generator before dim": (
+        "group X\nfield rationals\ngenerator\n -1\ndim 1\n",
+        "before the dim line"),
+    "no field line": (
+        "group X\ndim 1\ngenerator\n -1\n", "before the field line"),
+    "too few matrix rows": (
+        "group X\nfield rationals\ndim 2\ngenerator\n -1 0\n",
+        "ends before its 2 rows"),
+    "short row": (
+        "group X\nfield rationals\ndim 2\ngenerator\n -1 0\n 1\n",
+        "has 1 entries, expected 2"),
+    "no generator": (
+        "group X\nfield rationals\ndim 1\n", "no generator"),
+    "dim two": (
+        "group X\nfield rationals\ndim two\ngenerator\n -1\n",
+        "dim must be a positive integer, got 'two'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GROUP_FILES))
+def test_malformed_group_file_raises_group_data_error(case, tmp_path,
+                                                     monkeypatch):
+    text, message = MALFORMED_GROUP_FILES[case]
+    (tmp_path / "X.grp").write_text(text)
+    monkeypatch.setenv("CHEREDNIK_GROUP_DB", str(tmp_path))
+    with pytest.raises(GroupDataError, match=re.escape(message)):
+        load_group("X")

@@ -35,7 +35,7 @@ print("orbits:", [(o.index, o.e, len(o.hyperplanes))
 print("reflection classes:", group.num_reflection_classes)
 dets = {}
 for r in group.reflections:
-    dets.setdefault(r.refl_class, set()).add(repr(r.det))
+    dets.setdefault(r.refl_class, set()).add(repr(r.eps))
 print("class determinants:", dets)
 
 
