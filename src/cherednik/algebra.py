@@ -303,7 +303,12 @@ class PBWElement:
 
 
 class CherednikAlgebra:
-    """H_{t,c} over the parameter ring, with instance-confined caches."""
+    """H_{t,c} over the parameter ring.
+
+    Its two caches belong to the instance: ``_act`` holds the image of each
+    PBW monomial under a group element, ``_comm`` the group part of each
+    commutator [y_i, x^mu].  Group data is read from the group itself, whose
+    field embeds into the ring."""
 
     def __init__(self, group: ReflectionGroup, par: CherednikParameter):
         if par.group is not group:
@@ -313,19 +318,7 @@ class CherednikAlgebra:
         self.ring = par.ring
         self.n = group.n
         self.nvars = 2 * group.n
-        # group action matrices embedded into the parameter ring
-        self._mats_R = [tuple(tuple(self.ring.embed(v) for v in row)
-                              for row in m) for m in group.elements]
-        self._dual_R = [tuple(tuple(self.ring.embed(v) for v in row)
-                              for row in group.dual_matrix(g))
-                        for g in range(group.order)]
-        self._pairings = {}
-        for s in group.reflections:
-            self._pairings[s.element] = tuple(
-                tuple(self.ring.embed(s.pairing(i, j))
-                      for j in range(self.n)) for i in range(self.n))
-        self._act_x = {}
-        self._act_y = {}
+        self._act = {}
         self._comm = {}
 
     # -- element constructors -------------------------------------------------
@@ -372,56 +365,31 @@ class CherednikAlgebra:
         return out
 
     # -- group action on polynomials ------------------------------------------
-    def _act_x_mono(self, g, alpha):
-        key = (g, alpha)
-        hit = self._act_x.get(key)
-        if hit is None:
-            m = self._dual_R[g]
-            hit = self._const(1)
-            for i, k in enumerate(alpha):
-                if not k:
-                    continue
-                terms = {}
-                for j in range(self.n):
-                    c = m[j][i]
-                    if not c.is_zero():
-                        e = [0] * self.nvars
-                        e[j] = 1
-                        terms[tuple(e)] = c
-                img = MultiPoly(self.ring, self.nvars, terms)
-                for _ in range(k):
-                    hit = hit * img
-            self._act_x[key] = hit
-        return hit
+    def _lift(self, poly, shift):
+        """A polynomial in n variables over the group's field as one in the
+        2n variables over the ring, its variables starting at ``shift``."""
+        pre, post = (0,) * shift, (0,) * (self.n - shift)
+        return MultiPoly(self.ring, self.nvars,
+                         {pre + e + post: self.ring.embed(c)
+                          for e, c in poly.terms.items()})
 
-    def _act_y_mono(self, g, beta):
-        key = (g, beta)
-        hit = self._act_y.get(key)
+    def _act_mono(self, g, e):
+        """g . x^alpha y^beta for the exponent e = alpha + beta."""
+        key = (g, e)
+        hit = self._act.get(key)
         if hit is None:
-            m = self._mats_R[g]
-            hit = self._const(1)
-            for i, k in enumerate(beta):
-                if not k:
-                    continue
-                terms = {}
-                for j in range(self.n):
-                    c = m[j][i]
-                    if not c.is_zero():
-                        e = [0] * self.nvars
-                        e[self.n + j] = 1
-                        terms[tuple(e)] = c
-                img = MultiPoly(self.ring, self.nvars, terms)
-                for _ in range(k):
-                    hit = hit * img
-            self._act_y[key] = hit
+            G = self.group
+            imgs = [self._lift(p, 0) for p in G.variable_images(g, "V")] \
+                + [self._lift(p, self.n) for p in G.variable_images(g, "V*")]
+            hit = MultiPoly(self.ring, self.nvars,
+                            {e: self.ring.one()}).substitute(imgs)
+            self._act[key] = hit
         return hit
 
     def act_on_poly(self, g, poly: MultiPoly) -> MultiPoly:
         out = MultiPoly.zero(self.ring, self.nvars)
         for e, c in poly.terms.items():
-            alpha, beta = e[:self.n], e[self.n:]
-            term = self._act_x_mono(g, alpha) * self._act_y_mono(g, beta)
-            out = out + term.scale(c)
+            out = out + self._act_mono(g, e).scale(c)
         return out
 
     # -- commutator formula ----------------------------------------------------
@@ -432,15 +400,12 @@ class CherednikAlgebra:
         hit = self._comm.get(key)
         if hit is None:
             hit = {}
-            pad = (0,) * self.n
             for s in self.group.reflections:
                 cs = self.par.c_of(s)
                 if cs.is_zero():
                     continue
-                poly = commutator_telescope(self.group, s, i, mu)
-                poly = MultiPoly(self.ring, self.nvars,
-                                 {e + pad: self.ring.embed(c) * cs
-                                  for e, c in poly.terms.items()})
+                poly = self._lift(commutator_telescope(self.group, s, i, mu),
+                                  0).scale(cs)
                 if not poly.is_zero():
                     hit[s.element] = poly
             self._comm[key] = hit
@@ -501,7 +466,7 @@ class CherednikAlgebra:
                     anybeta = any(beta)
                     for s_elem, spoly in comm.items():
                         if anybeta:
-                            sy = self._act_y_mono(s_elem, beta)
+                            sy = self._act_mono(s_elem, (0,) * self.n + beta)
                             contrib = (spoly * sy).scale(coeff)
                         else:
                             contrib = spoly.scale(coeff)
@@ -570,7 +535,7 @@ class CherednikAlgebra:
                     result[key] = q
             else:
                 for w2, c2 in step:
-                    stack.append((w2, c2 * c))
+                    stack.append((w2, c * c2))
         parts = {}
         for (g, mono), c in result.items():
             poly = parts.get(g)
@@ -605,27 +570,16 @@ class CherednikAlgebra:
                     cs = self.par.c_of(s)
                     if cs.is_zero():
                         continue
-                    pij = self._pairings[s.element][i][j]
+                    pij = s.pairing(i, j)
                     if pij.is_zero():
                         continue
-                    out.append((head + (("g", s.element),) + tail, pij * cs))
+                    out.append((head + (("g", s.element),) + tail, cs * pij))
                 return out
-            if ka == "g" and kb == "x":
-                m = self._dual_R[va]
-                out = []
-                for j in range(self.n):
-                    c = m[j][vb]
-                    if not c.is_zero():
-                        out.append((head + (("x", j), ("g", va)) + tail, c))
-                return out
-            if ka == "g" and kb == "y":
-                m = self._mats_R[va]
-                out = []
-                for j in range(self.n):
-                    c = m[j][vb]
-                    if not c.is_zero():
-                        out.append((head + (("y", j), ("g", va)) + tail, c))
-                return out
+            if ka == "g" and kb in ("x", "y"):
+                m = self.group.dual_matrix(va) if kb == "x" \
+                    else self.group.elements[va]
+                return [(head + ((kb, j), ("g", va)) + tail, m[j][vb])
+                        for j in range(self.n) if not m[j][vb].is_zero()]
             if ka == "g" and kb == "g":
                 return [(head + (("g", self.group.mult[va][vb]),) + tail,
                          one)]

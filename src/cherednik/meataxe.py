@@ -19,7 +19,8 @@ import random
 
 import numpy as np
 
-from .scalars import _pdivmod, _pgcd, _pmod, _pmul, _ppowmod, _psub, _ptrim
+from .scalars import PrimeField, _poly_divmod, _poly_gcd, _poly_monic, \
+    _poly_mul, _poly_powmod, _poly_sub, _poly_trim
 
 
 class MeatAxeRetry(Exception):
@@ -131,10 +132,10 @@ def solve_mod(a, b, p):
 
 
 # ---------------------------------------------------------------------------
-# polynomials mod p (the kernel lives in scalars)
+# polynomials mod p, on the univariate kernel of scalars over PrimeField(p)
 
-def _pderiv(f, p):
-    return _ptrim([(i * c) % p for i, c in enumerate(f)][1:])
+def _pderiv(fp, f):
+    return _poly_trim(fp, [(i * c) % fp.p for i, c in enumerate(f)][1:])
 
 
 def factor_squarefree_part(f, p):
@@ -143,27 +144,26 @@ def factor_squarefree_part(f, p):
     if p == 2:
         raise MeatAxeRetry("factorization over F_2 is not supported; "
                            "choose an odd prime")
-    inv = pow(f[-1], -1, p)
-    f = [c * inv % p for c in f]
-    d = _pderiv(f, p)
+    fp = PrimeField(p)
+    f = _poly_monic(fp, tuple(f))
+    d = _pderiv(fp, f)
     if d:
-        f = _pdivmod(f, _pgcd(f, d, p), p)[0]
+        f = _poly_divmod(fp, f, _poly_gcd(fp, f, d))[0]
     else:
         # perfect p-th power: take p-th roots of the exponents
-        g = [f[i] for i in range(0, len(f), p)]
-        return factor_squarefree_part(g, p)
+        return factor_squarefree_part(f[::p], p)
     out = []
-    x = [0, 1]
-    h = list(x)
-    rest = list(f)
+    x = (0, 1)
+    h = x
+    rest = f
     deg = 1
     while len(rest) - 1 >= 2 * deg:
-        h = _ppowmod(h, p, rest, p)
-        g = _pgcd(rest, _psub(h, x, p), p)
+        h = _poly_powmod(fp, h, p, rest)
+        g = _poly_gcd(fp, rest, _poly_sub(fp, h, x))
         if len(g) > 1:
-            out.extend(_equal_degree_split(g, deg, p))
-            rest = _pdivmod(rest, g, p)[0]
-            h = _pmod(h, rest, p)
+            out.extend(_equal_degree_split(fp, g, deg))
+            rest = _poly_divmod(fp, rest, g)[0]
+            h = _poly_divmod(fp, h, rest)[1]
         deg += 1
     if len(rest) > 1:
         out.append(rest)
@@ -171,22 +171,22 @@ def factor_squarefree_part(f, p):
     return out
 
 
-def _equal_degree_split(f, d, p, rng=None):
-    n = len(f) - 1
+def _equal_degree_split(fp, f, d, rng=None):
+    n, p = len(f) - 1, fp.p
     if n == d:
         return [f]
     rng = rng or random.Random(0xC0FFEE ^ n ^ d ^ p)
     while True:
         r = [rng.randrange(p) for _ in range(n)] + [1]
-        g = _pgcd(f, r, p)
+        g = _poly_gcd(fp, f, r)
         if 1 < len(g) < len(f):
-            return _equal_degree_split(g, d, p, rng) \
-                + _equal_degree_split(_pdivmod(f, g, p)[0], d, p, rng)
+            return _equal_degree_split(fp, g, d, rng) \
+                + _equal_degree_split(fp, _poly_divmod(fp, f, g)[0], d, rng)
         e = (p ** d - 1) // 2
-        g = _pgcd(f, _psub(_ppowmod(r, e, f, p), [1], p), p)
+        g = _poly_gcd(fp, f, _poly_sub(fp, _poly_powmod(fp, r, e, f), (1,)))
         if 1 < len(g) < len(f):
-            return _equal_degree_split(g, d, p, rng) \
-                + _equal_degree_split(_pdivmod(f, g, p)[0], d, p, rng)
+            return _equal_degree_split(fp, g, d, rng) \
+                + _equal_degree_split(fp, _poly_divmod(fp, f, g)[0], d, rng)
 
 
 def poly_eval_matrix(f, a, p):
@@ -201,6 +201,7 @@ def poly_eval_matrix(f, a, p):
 def minimal_polynomial(a, p):
     """Monic minimal polynomial via Krylov chains on basis vectors."""
     n = a.shape[0]
+    fp = PrimeField(p)
     m = [1]
     for start in range(n):
         v = np.zeros(n, dtype=np.int64)
@@ -210,7 +211,7 @@ def minimal_polynomial(a, p):
         if not np.any(v):
             continue
         local = _local_minpoly(a, v, p)
-        m = _plcm(m, local, p)
+        m = list(_plcm(fp, m, local))
         if not np.any(poly_eval_matrix(m, a, p)):
             return m
     return m
@@ -233,13 +234,12 @@ def _local_minpoly(a, v, p):
             raise MeatAxeRetry("Krylov chain exceeded the dimension")
 
 
-def _plcm(f, g, p):
+def _plcm(fp, f, g):
     if len(f) <= 1:
         return g
     if len(g) <= 1:
         return f
-    gc = _pgcd(f, g, p)
-    return _pmul(_pdivmod(f, gc, p)[0], g, p)
+    return _poly_mul(fp, _poly_divmod(fp, f, _poly_gcd(fp, f, g))[0], g)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ normal forms, and standard monomials of zero-dimensional quotients."""
 
 from __future__ import annotations
 
-from .scalars import FieldError, Scalar
+from .scalars import FieldError, Scalar, format_terms, monomial_text
 
 
 class MultiPoly:
@@ -132,26 +132,8 @@ class MultiPoly:
         return self.format(tuple(f"x{i+1}" for i in range(self.nvars)))
 
     def format(self, names):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mon = "*".join(n if k == 1 else f"{n}^{k}"
-                           for n, k in zip(names, e) if k)
-            cs = repr(c)
-            wrap = "+" in cs[1:] or "-" in cs[1:] or " " in cs
-            if not mon:
-                parts.append(f"({cs})" if wrap else cs)
-            elif cs == "1":
-                parts.append(mon)
-            elif cs == "-1":
-                parts.append(f"-{mon}")
-            else:
-                parts.append(f"({cs})*{mon}" if wrap else f"{cs}*{mon}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return format_terms((repr(c), monomial_text(names, e))
+                            for e, c in self.sorted_terms())
 
     def substitute(self, images):
         """Substitute variable i -> images[i] (MultiPolys over the spec)."""

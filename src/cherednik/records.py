@@ -3,24 +3,13 @@ text serialization."""
 
 from __future__ import annotations
 
+from .scalars import format_terms, monomial_text
+
 
 def poly_in_t(coeff_by_degree) -> str:
     """Deterministic ascending rendering of an integer polynomial in t."""
-    if not coeff_by_degree:
-        return "0"
-    parts = []
-    for d in sorted(coeff_by_degree):
-        c = coeff_by_degree[d]
-        if c == 0:
-            continue
-        if d == 0:
-            parts.append(str(c))
-        else:
-            tpow = "t" if d == 1 else f"t^{d}"
-            parts.append(tpow if c == 1 else f"{c}*{tpow}")
-    if not parts:
-        return "0"
-    return " + ".join(parts)
+    return format_terms((str(c), monomial_text(("t",), (d,)))
+                        for d, c in sorted(coeff_by_degree.items()) if c)
 
 
 def family_text(members) -> str:

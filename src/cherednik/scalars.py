@@ -15,6 +15,11 @@ structural equality is mathematical equality.
 
 Towers nest at most four deep (e.g. Q -> Q(z3) -> Q(z3)(k)).  All values are
 immutable; all operations are pure functions.
+
+One dense univariate kernel (``_poly_*``) works over the payloads of any
+spec: the function field and number-field inversion use it over Q or Q(z),
+the irreducibility test and the MeatAxe oracle over ``PrimeField(p)``.
+Every printed sum of terms goes through ``format_terms``.
 """
 
 from __future__ import annotations
@@ -102,6 +107,54 @@ def _poly_gcd(base, a, b):
         _, r = _poly_divmod(base, a, b)
         a, b = b, r
     return _poly_monic(base, a)
+
+
+def _poly_powmod(base, a, e, m):
+    """a^e mod m; base must be a field and m nonzero."""
+    out = (base.payload_one(),)
+    a = _poly_divmod(base, a, m)[1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(base, _poly_mul(base, out, a), m)[1]
+        a = _poly_divmod(base, _poly_mul(base, a, a), m)[1]
+        e >>= 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# printing sums of terms
+
+def parenthesize(text):
+    """``text``, in parentheses when it is a sum, to stand as a factor."""
+    if "+" in text[1:] or "-" in text[1:] or " " in text:
+        return f"({text})"
+    return text
+
+
+def monomial_text(names, exps):
+    """x^2*y for names (x, y) and exponents (2, 1); empty for all zero."""
+    return "*".join(n if k == 1 else f"{n}^{k}"
+                    for n, k in zip(names, exps) if k)
+
+
+def format_terms(terms):
+    """A sum printed from (coefficient text, monomial text) pairs in the
+    caller's term order; a constant term has empty monomial text."""
+    out = ""
+    for cs, mon in terms:
+        if not mon:
+            t = parenthesize(cs)
+        elif cs == "1":
+            t = mon
+        elif cs == "-1":
+            t = f"-{mon}"
+        else:
+            t = f"{parenthesize(cs)}*{mon}"
+        if not out:
+            out = t
+        else:
+            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -221,84 +274,21 @@ class Rationals(FieldSpec):
 QQ = Rationals()
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over F_p: lists of ints in [0, p), low degree first,
-# without trailing zeros
-
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
-    return _ptrim([(a - b) % p for a, b in zip(f, g)])
-
-
-def _pmul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
-def _pdivmod(f, g, p):
-    f = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    inv = pow(g[-1], -1, p)
-    for k in range(len(f) - len(g), -1, -1):
-        c = f[k + len(g) - 1] * inv % p
-        if c:
-            q[k] = c
-            for j, b in enumerate(g):
-                f[k + j] = (f[k + j] - c * b) % p
-    return _ptrim(q), _ptrim(f)
-
-
-def _pgcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _pdivmod(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = [c * inv % p for c in f]
-    return f
-
-
-def _pmod(f, g, p):
-    return _pdivmod(f, g, p)[1]
-
-
-def _ppowmod(f, e, g, p):
-    out = [1]
-    base = _pmod(f, g, p)
-    while e:
-        if e & 1:
-            out = _pmod(_pmul(out, base, p), g, p)
-        base = _pmod(_pmul(base, base, p), g, p)
-        e >>= 1
-    return out
-
-
 def _fp_poly_is_irreducible(coeffs, p):
     """Irreducibility of a monic polynomial f of degree d over F_p (Rabin):
     x^{p^d} = x mod f, and gcd(f, x^{p^{d/q}} - x) = 1 for primes q | d."""
-    f = _ptrim([c % p for c in coeffs])
+    fp = PrimeField(p)
+    f = _poly_trim(fp, [c % p for c in coeffs])
     d = len(f) - 1
     if d < 1:
         return False
-    x = [0, 1]
-    if _pmod(_psub(_ppowmod(x, p ** d, f, p), x, p), f, p):
+    x = (0, 1)
+    frobenius = _poly_sub(fp, _poly_powmod(fp, x, p ** d, f), x)
+    if _poly_divmod(fp, frobenius, f)[1]:
         return False
     for q in set(_prime_factors(d)):
-        h = _psub(_ppowmod(x, p ** (d // q), f, p), x, p)
-        if len(_pgcd(f, h, p)) > 1:
+        h = _poly_sub(fp, _poly_powmod(fp, x, p ** (d // q), f), x)
+        if len(_poly_gcd(fp, f, h)) > 1:
             return False
     return True
 
@@ -424,27 +414,8 @@ class NumberField(FieldSpec):
         return tuple(inv[:self.degree])
 
     def payload_str(self, a):
-        parts = []
-        for i in range(self.degree - 1, -1, -1):
-            c = a[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                v = self.gen_name if i == 1 else f"{self.gen_name}^{i}"
-                if c == 1:
-                    parts.append(v)
-                elif c == -1:
-                    parts.append(f"-{v}")
-                else:
-                    parts.append(f"{c}*{v}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return format_terms((str(a[i]), monomial_text((self.gen_name,), (i,)))
+                            for i in range(self.degree - 1, -1, -1) if a[i])
 
     def variables(self):
         return {self.gen_name: self.gen()}
@@ -466,6 +437,16 @@ def cyclotomic_field(n, gen_name=None):
     return NumberField(polys[n], gen_name or f"z{n}")
 
 
+def _check_depth(base):
+    """A level over ``base`` may make the tower at most four deep."""
+    d, s = 1, base
+    while s is not None:
+        d += 1
+        s = s.base
+    if d > 4:
+        raise FieldError("coefficient tower nests too deep")
+
+
 class PolyRing(FieldSpec):
     """Multivariate polynomial ring over a base domain; a ring, not a field.
 
@@ -481,15 +462,7 @@ class PolyRing(FieldSpec):
         self.nvars = len(self.names)
         if self.nvars == 0:
             raise FieldError("polynomial ring needs at least one variable")
-        self._depth_check()
-
-    def _depth_check(self):
-        d, s = 1, self.base
-        while s is not None:
-            d += 1
-            s = s.base
-        if d > 4:
-            raise FieldError("coefficient tower nests too deep")
+        _check_depth(base)
 
     def payload_zero(self): return ()
     def payload_one(self):
@@ -570,29 +543,9 @@ class PolyRing(FieldSpec):
         return c if not any(e) else None
 
     def payload_str(self, a):
-        if not a:
-            return "0"
-        parts = []
-        for e, c in sorted(a, key=lambda t: (-sum(t[0]), tuple(-x for x in t[0]))):
-            mon = "*".join(
-                n if k == 1 else f"{n}^{k}"
-                for n, k in zip(self.names, e) if k)
-            cs = self.base.payload_str(c)
-            needs_parens = ("+" in cs[1:] or "-" in cs[1:] or " " in cs)
-            if not mon:
-                parts.append(f"({cs})" if needs_parens else cs)
-            elif cs == "1":
-                parts.append(mon)
-            elif cs == "-1":
-                parts.append(f"-{mon}")
-            elif needs_parens:
-                parts.append(f"({cs})*{mon}")
-            else:
-                parts.append(f"{cs}*{mon}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        order = sorted(a, key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
+        return format_terms((self.base.payload_str(c),
+                             monomial_text(self.names, e)) for e, c in order)
 
     def variables(self):
         out = dict(self.base.variables())
@@ -617,12 +570,7 @@ class RationalFunctionField(FieldSpec):
             raise FieldError("function field base must be a field")
         self.base = base
         self.name = name
-        d, s = 1, base
-        while s is not None:
-            d += 1
-            s = s.base
-        if d > 4:
-            raise FieldError("coefficient tower nests too deep")
+        _check_depth(base)
 
     def payload_zero(self): return ((), (self.base.payload_one(),))
     def payload_one(self):
@@ -687,28 +635,10 @@ class RationalFunctionField(FieldSpec):
         return not a[0]
 
     def _poly_str(self, cs):
-        parts = []
-        for i in range(len(cs) - 1, -1, -1):
-            c = cs[i]
-            if self.base.payload_is_zero(c):
-                continue
-            s = self.base.payload_str(c)
-            needs_parens = ("+" in s[1:] or "-" in s[1:] or " " in s)
-            v = "" if i == 0 else (self.name if i == 1 else f"{self.name}^{i}")
-            if not v:
-                parts.append(f"({s})" if needs_parens else s)
-            elif s == "1":
-                parts.append(v)
-            elif s == "-1":
-                parts.append(f"-{v}")
-            else:
-                parts.append(f"({s})*{v}" if needs_parens else f"{s}*{v}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        b, v = self.base, (self.name,)
+        return format_terms((b.payload_str(cs[i]), monomial_text(v, (i,)))
+                            for i in range(len(cs) - 1, -1, -1)
+                            if not b.payload_is_zero(cs[i]))
 
     def payload_str(self, a):
         num, den = a
@@ -716,12 +646,7 @@ class RationalFunctionField(FieldSpec):
         if len(den) == 1 and self.base.payload_eq(den[0],
                                                   self.base.payload_one()):
             return ns
-        ds = self._poly_str(den)
-        if "+" in ns[1:] or "-" in ns[1:] or " " in ns:
-            ns = f"({ns})"
-        if "+" in ds[1:] or "-" in ds[1:] or " " in ds:
-            ds = f"({ds})"
-        return f"{ns}/{ds}"
+        return f"{parenthesize(ns)}/{parenthesize(self._poly_str(den))}"
 
     def variables(self):
         out = dict(self.base.variables())

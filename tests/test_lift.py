@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,8 @@ from cherednik.meataxe import chop, is_isomorphic, radical
 from cherednik.modules import GradedModule, dual_character, \
     graded_character, graded_spin, verma_character, verma_module
 from cherednik.scalars import QQ, RationalFunctionField, reduce_mod_prime
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_worked_structure_example():
@@ -243,6 +246,30 @@ def test_gordon_rejects_a_family_that_is_not_an_euler_family():
     G = load_group("S3")
     with pytest.raises(ParameterError, match="not an Euler family"):
         gordon(G, CherednikParameter(G, QQ, 0, [1]), families=(1, 2))
+
+
+@pytest.mark.parametrize("group,other", [("S3", "B2"), ("B2", "G4"),
+                                         ("G4", "B2")])
+def test_gordon_rejects_a_parameter_of_another_group(group, other):
+    # B2's two class values would be cut to S3's one, or read as G4's
+    G, H = load_group(group), load_group(other)
+    with pytest.raises(ParameterError, match="different group"):
+        gordon(G, CherednikParameter(H, QQ, 0, [1, 2]))
+
+
+@pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
+                                  "B2_hyp", "G4_k13", "G4_hyp"])
+def test_full_gordon_record_is_pinned(case):
+    # every family at once: the full decomposition matrix, the CM families
+    # and the Euler values, over Q(z3)(k) on G4_hyp
+    if case == "G4_hyp":
+        G, hyperplane = load_group("G4"), "k1_1-2*k1_2"
+        par = restrict_to_hyperplane(G, hyperplane).to_cherednik()
+    else:
+        G, par, _ = oracle_cases()[case]
+        hyperplane = "k1_1-k2_1" if case == "B2_hyp" else ""
+    want = (DATA / f"{case}.txt").read_text()
+    assert gordon(G, par, hyperplane).to_text() == want
 
 
 def test_find_submodule_fails_where_the_radical_collides_mod_p():

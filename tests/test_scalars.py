@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from cherednik.algebra import CherednikAlgebra, restrict_to_hyperplane
+from cherednik.groups import load_group
 from cherednik.scalars import (
     QQ,
     FieldError,
@@ -213,3 +215,28 @@ def test_scalar_hash_consistency():
     a = (k + 1) / (k + 1)
     assert hash(a) == hash(F.one())
     assert len({a, F.one()}) == 1
+
+
+def _pbw_on_b2_hyperplane():
+    G = load_group("B2")
+    A = CherednikAlgebra(G, restrict_to_hyperplane(G, "k1_1-k2_1")
+                         .to_cherednik())
+    return A.y(0) * A.x(0) * A.x(1)
+
+
+@pytest.mark.parametrize("make,text", [
+    (lambda: parse_scalar("(1 - k + (2 + z3)*k^2)/(z3 + k)",
+                          RationalFunctionField(cyclotomic_field(3), "k")),
+     "((z3 + 2)*k^2 - k + 1)/(k + z3)"),
+    (lambda: parse_scalar("a - 3 - (1 + z3)*b*a^2",
+                          PolyRing(cyclotomic_field(3), ["a", "b"])),
+     "(-z3 - 1)*a^2*b + a - 3"),
+    (lambda: parse_scalar("-1 + 2*z5^3", cyclotomic_field(5)),
+     "2*z5^3 - 1"),
+    (lambda: load_group("G4").fundamental_invariants("V")[0],
+     "x1^4 - x1*x2^3"),
+    (_pbw_on_b2_hyperplane, "(x1*x2*y1) + [g2]*(2*k*x2)"),
+], ids=["function-field", "poly-ring", "number-field", "invariant", "pbw"])
+def test_printed_text(make, text):
+    # term order, unit coefficients, parentheses and signs of each printer
+    assert repr(make()) == text

@@ -13,7 +13,7 @@ import sys
 sys.path.insert(0, "src")
 
 from cherednik.groups import ReflectionGroup
-from cherednik.scalars import cyclotomic_field
+from cherednik.scalars import cyclotomic_field, parenthesize
 
 K = cyclotomic_field(3)
 z = K.gen()
@@ -73,7 +73,7 @@ assert set(by_label) == set(wanted), sorted(by_label)
 
 def fmt(v):
     s = repr(v).replace(" ", "")
-    return f"({s})" if ("+" in s[1:] or "-" in s[1:] or "/" in s) else s
+    return f"({s})" if "/" in s else parenthesize(s)
 
 
 lines = [
