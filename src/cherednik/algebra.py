@@ -27,6 +27,12 @@ class CherednikParameter:
     __slots__ = ("group", "ring", "t", "c")
 
     def __init__(self, group: ReflectionGroup, ring, t, c_values):
+        try:
+            ring.embed(group.spec.one())
+        except FieldError:
+            raise ParameterError(f"parameters over {ring} do not contain "
+                                 f"{group.spec}, the field of {group.name}"
+                                 ) from None
         self.group = group
         self.ring = ring
         self.t = ring.embed(t) if isinstance(t, Scalar) else ring.scalar(t)
@@ -181,7 +187,7 @@ def _is_negative_rational(s: Scalar):
     if s.spec.kind == "rationals":
         return s.payload < 0
     if s.spec.kind == "number-field":
-        nz = [c for c in s.payload if c != 0]
+        nz = [c for c in s.payload[:-1] if c != 0]
         return bool(nz) and all(c < 0 for c in nz)
     return False
 

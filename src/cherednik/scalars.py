@@ -6,7 +6,10 @@ structural equality is mathematical equality.
 
     * ``Rationals``                  -- Fraction
     * ``NumberField``                -- Q[x]/(f), f monic integral, stored as
-                                        coefficient tuples of degree < deg f
+                                        one int tuple (n_0, ..., n_{d-1}, den):
+                                        integer numerators of degree < d =
+                                        deg f over one common denominator,
+                                        den > 0 and coprime to them all
     * ``PolyRing``                   -- multivariate polynomials over a base
                                         domain (a ring, no general division)
     * ``RationalFunctionField``      -- K(v), one variable, reduced fractions
@@ -16,9 +19,12 @@ structural equality is mathematical equality.
 Towers nest at most four deep (e.g. Q -> Q(z3) -> Q(z3)(k)).  All values are
 immutable; all operations are pure functions.
 
-One dense univariate kernel (``_poly_*``) works over the payloads of any
-spec: the function field and number-field inversion use it over Q or Q(z),
-the irreducibility test and the MeatAxe oracle over ``PrimeField(p)``.
+Number-field arithmetic runs on ints alone: products reduce by the
+integral table of x^k mod f, and an inverse is Cramer's rule with
+fraction-free (Bareiss) determinants.  One dense univariate kernel
+(``_poly_*``) works over the payloads of any spec: the function field uses
+it over Q or Q(z), the irreducibility test and the MeatAxe oracle over
+``PrimeField(p)``.
 Every printed sum of terms goes through ``format_terms``.
 """
 
@@ -235,7 +241,8 @@ class FieldSpec:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self._key() == other._key()
+        return self is other or (isinstance(other, FieldSpec)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -306,8 +313,50 @@ def _prime_factors(n):
     return out
 
 
+def _norm(nums, den):
+    """The canonical number-field payload of (sum nums[i] x^i) / den: the
+    numerators and a positive denominator, with no common factor."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return (*nums, den)
+    return (*(n // g for n in nums), den // g)
+
+
+def _det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row, lead = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * m[k][j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
 class NumberField(FieldSpec):
-    """Q[x]/(f) for a monic integral polynomial f, irreducible over Q."""
+    """Q[x]/(f) for a monic integral polynomial f, irreducible over Q.
+
+    An element (n_0 + n_1 x + ... + n_{d-1} x^{d-1}) / den is the flat int
+    tuple (n_0, ..., n_{d-1}, den) with den > 0 and
+    gcd(den, n_0, ..., n_{d-1}) = 1; zero is (0, ..., 0, 1).
+    """
 
     kind = "number-field"
     base = QQ
@@ -322,17 +371,20 @@ class NumberField(FieldSpec):
         if self.degree < 1:
             raise FieldError("defining polynomial must have positive degree")
         self._check_irreducible()
-        # reduction table: x^k mod f for k = deg .. 2deg-2
+        # reduction table: x^k mod f for k = deg .. 2deg-2, integral as f
+        # is monic
         red = []
-        cur = [Fraction(-c) for c in coeffs[:-1]]  # x^deg
+        cur = [-c for c in coeffs[:-1]]  # x^deg
         red.append(tuple(cur))
         for _ in range(self.degree - 2):
-            cur = [Fraction(0)] + cur
+            cur = [0] + cur
             top = cur.pop()
             for i in range(self.degree):
                 cur[i] += top * red[0][i]
             red.append(tuple(cur))
         self._red = red
+        self._zero = (0,) * self.degree + (1,)
+        self._one = self.payload_from_fraction(1)
 
     def _check_irreducible(self):
         if self.degree == 1:
@@ -347,40 +399,45 @@ class NumberField(FieldSpec):
             f"could not certify irreducibility of {self.minpoly} by "
             "reduction at small primes")
 
-    def payload_zero(self): return (Fraction(0),) * self.degree
-    def payload_one(self):
-        return (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
+    def payload_zero(self): return self._zero
+    def payload_one(self): return self._one
 
     def payload_from_fraction(self, q):
-        return (Fraction(q),) + (Fraction(0),) * (self.degree - 1)
+        """The payload of a Fraction or an int."""
+        return (q.numerator,) + (0,) * (self.degree - 1) + (q.denominator,)
 
     def gen(self):
         if self.degree == 1:
-            return Scalar(self, self.payload_from_fraction(
-                Fraction(-self.minpoly[0])))
-        pl = [Fraction(0)] * self.degree
-        pl[1] = Fraction(1)
+            return Scalar(self, self.payload_from_fraction(-self.minpoly[0]))
+        pl = [0] * (self.degree + 1)
+        pl[1] = pl[-1] = 1
         return Scalar(self, tuple(pl))
 
     def payload_add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        da, db = a[-1], b[-1]
+        if da == db:
+            return _norm([x + y for x, y in zip(a[:-1], b[:-1])], da)
+        return _norm([x * db + y * da for x, y in zip(a[:-1], b[:-1])],
+                     da * db)
 
     def payload_neg(self, a):
-        return tuple(-x for x in a)
+        return (*(-x for x in a[:-1]), a[-1])
 
     def payload_sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        da, db = a[-1], b[-1]
+        if da == db:
+            return _norm([x - y for x, y in zip(a[:-1], b[:-1])], da)
+        return _norm([x * db - y * da for x, y in zip(a[:-1], b[:-1])],
+                     da * db)
 
     def payload_mul(self, a, b):
         d = self.degree
-        if d == 1:
-            return (a[0] * b[0],)
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
+        prod = [0] * (2 * d - 1)
+        for i in range(d):
+            x = a[i]
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
+                for j in range(d):
+                    prod[i + j] += x * b[j]
         out = prod[:d]
         for k in range(d, 2 * d - 1):
             c = prod[k]
@@ -388,33 +445,41 @@ class NumberField(FieldSpec):
                 row = self._red[k - d]
                 for i in range(d):
                     out[i] += c * row[i]
-        return tuple(out)
+        return _norm(out, a[-1] * b[-1])
 
     def payload_is_zero(self, a):
-        return all(x == 0 for x in a)
+        return a == self._zero
 
     def payload_inv(self, a):
+        """Cramer's rule on M x = e_0, M the integer matrix of multiplication
+        by the numerator: x_i = (-1)^i det(M minus row 0 and column i) /
+        det M, and the inverse is den * x."""
         if self.payload_is_zero(a):
             raise FieldError("division by zero")
-        # extended euclid in Q[x] against the (irreducible) minimal polynomial
-        r0 = [Fraction(c) for c in self.minpoly]
-        r1 = list(a)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = _poly_divmod(QQ, tuple(r0), tuple(r1))
-            if not r:
-                break
-            s = _poly_sub(QQ, tuple(s0), _poly_mul(QQ, q, tuple(s1)))
-            r0, s0, r1, s1 = list(r1), list(s1), list(r), list(s)
-        lc = r1[-1]
-        inv = [c / lc for c in s1]
-        inv += [Fraction(0)] * (self.degree - len(inv))
-        return tuple(inv[:self.degree])
+        d, f = self.degree, self.minpoly
+        col = list(a[:-1])
+        cols = [col]
+        for _ in range(d - 1):  # column j + 1 is x times column j, mod f
+            top = col[-1]
+            col = [0] + col[:-1]
+            for i in range(d):
+                col[i] -= top * f[i]
+            cols.append(col)
+        rows = list(zip(*cols))
+        den = a[-1]
+        nums = [(-1) ** i * den * _det([r[:i] + r[i + 1:] for r in rows[1:]])
+                for i in range(d)]
+        return _norm(nums, _det(rows))
 
     def payload_str(self, a):
-        return format_terms((str(a[i]), monomial_text((self.gen_name,), (i,)))
+        den = a[-1]
+
+        def coeff(n):
+            g = math.gcd(n, den)
+            return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+        return format_terms((coeff(a[i]),
+                             monomial_text((self.gen_name,), (i,)))
                             for i in range(self.degree - 1, -1, -1) if a[i])
 
     def variables(self):
@@ -709,11 +774,11 @@ class Scalar:
 
     def _pair(self, other):
         """Bring self and other into a common spec, or return None."""
-        if isinstance(other, (int, Fraction)):
-            return self, self.spec.scalar(other)
         if not isinstance(other, Scalar):
+            if isinstance(other, (int, Fraction)):
+                return self, self.spec.scalar(other)
             return None
-        if other.spec == self.spec:
+        if other.spec is self.spec or other.spec == self.spec:
             return self, other
         try:
             return self, self.spec.embed(other)
@@ -831,28 +896,30 @@ def reduce_mod_prime(a: Scalar, p: int, root: int = 0) -> Scalar:
     if spec.kind == "rationals":
         return Scalar(fp, fp.payload_from_fraction(a.payload))
     if spec.kind == "number-field":
-        val = _poly_eval_fractions(spec.minpoly, root, p)
-        if val % p != 0:
+        if _int_poly_eval_mod(spec.minpoly, root, p) != 0:
             raise FieldError(f"{root} is not a root of the defining "
                              f"polynomial mod {p}")
-        acc = 0
-        for c in reversed(a.payload):
-            acc = (acc * root + fp.payload_from_fraction(c)) % p
-        return Scalar(fp, acc)
+        *nums, den = a.payload
+        if den % p == 0:
+            raise FieldError(f"denominator of {a!r} is divisible by {p}")
+        acc = _int_poly_eval_mod(nums, root, p)
+        return Scalar(fp, acc * pow(den, -1, p) % p)
     raise FieldError(f"cannot reduce a {spec.kind} scalar modulo a prime")
 
 
-def _poly_eval_fractions(coeffs, x, p):
+def _int_poly_eval_mod(coeffs, x, p):
+    """The integer polynomial with coefficients ``coeffs`` (low degree
+    first) at x, mod p."""
     acc = 0
     for c in reversed(coeffs):
-        acc = (acc * x + int(c)) % p
+        acc = (acc * x + c) % p
     return acc
 
 
 def minpoly_roots_mod_p(spec: NumberField, p: int):
     """All roots of the defining polynomial of a number field mod p."""
     return [r for r in range(p)
-            if _poly_eval_fractions(spec.minpoly, r, p) == 0]
+            if _int_poly_eval_mod(spec.minpoly, r, p) == 0]
 
 
 def denominator_of(a: Scalar) -> int:
@@ -864,10 +931,7 @@ def denominator_of(a: Scalar) -> int:
     if spec.kind == "rationals":
         return a.payload.denominator
     if spec.kind == "number-field":
-        d = 1
-        for c in a.payload:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return d
+        return a.payload[-1]
     if spec.kind == "poly-ring":
         d = 1
         for _, c in a.payload:
@@ -890,8 +954,8 @@ def _as_fraction(s: Scalar) -> Fraction:
     spec, p = s.spec, s.payload
     if spec.kind == "rationals":
         return p
-    if spec.kind == "number-field" and not any(p[1:]):
-        return p[0]
+    if spec.kind == "number-field" and not any(p[1:-1]):
+        return Fraction(p[0], p[-1])
     if spec.kind == "poly-ring":
         if not p:
             return Fraction(0)

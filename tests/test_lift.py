@@ -254,7 +254,14 @@ def test_gordon_rejects_a_parameter_of_another_group(group, other):
     # B2's two class values would be cut to S3's one, or read as G4's
     G, H = load_group(group), load_group(other)
     with pytest.raises(ParameterError, match="different group"):
-        gordon(G, CherednikParameter(H, QQ, 0, [1, 2]))
+        gordon(G, CherednikParameter(H, H.spec, 0, [1, 2]))
+
+
+def test_parameter_ring_must_contain_the_group_field():
+    # Q does not contain Q(z3), the field of G4's reflections
+    G = load_group("G4")
+    with pytest.raises(ParameterError, match="do not contain"):
+        CherednikParameter(G, QQ, 0, [1, 2])
 
 
 @pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",

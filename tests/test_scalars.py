@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from cherednik.scalars import (
     RationalFunctionField,
     Scalar,
     _fp_poly_is_irreducible,
+    as_integer,
     cyclotomic_field,
     denominator_of,
     minpoly_roots_mod_p,
@@ -185,6 +187,172 @@ def test_number_field_division_by_zero():
     K = cyclotomic_field(3)
     with pytest.raises(FieldError):
         K.one() / K.zero()
+
+
+# A reference for Q(z3), Q(z4) and Q(z5): coefficient lists of Fractions,
+# low degree first, multiplied out and reduced by hand mod the monic minimal
+# polynomial; inverses by Gauss-Jordan on the multiplication matrix.
+
+REFERENCE_MINPOLYS = {3: (1, 1, 1), 4: (1, 0, 1), 5: (1, 1, 1, 1, 1)}
+
+
+def _ref_reduce(cs, f):
+    cs, d = list(cs), len(f) - 1
+    for k in range(len(cs) - 1, d - 1, -1):
+        top, cs[k] = cs[k], Fraction(0)
+        for i in range(d):
+            cs[k - d + i] -= top * f[i]
+    return (cs + [Fraction(0)] * d)[:d]
+
+
+def _ref_mul(a, b, f):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, f)
+
+
+def _ref_inv(a, f):
+    d = len(f) - 1
+    cols = [_ref_mul(a, [Fraction(int(i == j)) for i in range(d)], f)
+            for j in range(d)]
+    m = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))]
+         for i in range(d)]
+    for c in range(d):
+        r = next(r for r in range(c, d) if m[r][c] != 0)
+        m[c], m[r] = m[r], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for r in range(d):
+            if r != c and m[r][c] != 0:
+                m[r] = [v - m[r][c] * w for v, w in zip(m[r], m[c])]
+    return [row[d] for row in m]
+
+
+def _ref_text(cs, name):
+    terms = []
+    for i in range(len(cs) - 1, -1, -1):
+        if cs[i] == 0:
+            continue
+        c = str(cs[i])
+        mon = "" if i == 0 else name if i == 1 else f"{name}^{i}"
+        if not mon:
+            terms.append(c)
+        else:
+            terms.append(mon if c == "1" else f"-{mon}" if c == "-1"
+                         else f"{c}*{mon}")
+    out = terms[0] if terms else "0"
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def _ref_mod_p(cs, p, root):
+    """The image in F_p with the generator sent to root, or None when a
+    denominator is divisible by p."""
+    if any(c.denominator % p == 0 for c in cs):
+        return None
+    return sum(c.numerator * pow(c.denominator, -1, p) * root ** i
+               for i, c in enumerate(cs)) % p
+
+
+def _random_coeffs(rng, d):
+    cs = [Fraction(rng.randint(-30, 30),
+                   rng.choice((1, 1, 2, 3, 4, 6, 9, 12, 35, 61)))
+          for _ in range(d)]
+    for i in range(d):  # sparse and constant elements too
+        if rng.random() < 0.25:
+            cs[i] = Fraction(0)
+    return cs
+
+
+def _build(K, cs):
+    z = K.gen()
+    return sum((K.scalar(c) * z ** i for i, c in enumerate(cs)), K.zero())
+
+
+def _coeffs(s):
+    """The Fraction coefficients of a number-field scalar, after checking
+    that its payload is canonical: (n_0, ..., n_{d-1}, den) with den > 0
+    and no common factor."""
+    *nums, den = s.payload
+    assert den > 0 and math.gcd(den, *nums) == 1, s.payload
+    assert all(type(v) is int for v in s.payload), s.payload
+    return [Fraction(n, den) for n in nums]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_number_field_arithmetic_against_fraction_reference(n):
+    K, f = cyclotomic_field(n), REFERENCE_MINPOLYS[n]
+    p = 61  # 61 = 1 mod 3, 4 and 5, so every minimal polynomial splits
+    roots = minpoly_roots_mod_p(K, p)
+    assert len(roots) == K.degree
+    rng = random.Random(1403 + n)
+    for _ in range(80):
+        ca, cb = _random_coeffs(rng, K.degree), _random_coeffs(rng, K.degree)
+        a, b = _build(K, ca), _build(K, cb)
+        assert _coeffs(a) == ca and _coeffs(b) == cb
+        assert _coeffs(a + b) == [x + y for x, y in zip(ca, cb)]
+        assert _coeffs(a - b) == [x - y for x, y in zip(ca, cb)]
+        assert _coeffs(-a) == [-x for x in ca]
+        assert _coeffs(a * b) == _ref_mul(ca, cb, f)
+        if any(cb):
+            inv = _ref_inv(cb, f)
+            assert _ref_mul(cb, inv, f) == [1] + [0] * (K.degree - 1)
+            assert _coeffs(K.one() / b) == inv
+            assert _coeffs(b ** -1) == inv
+            assert _coeffs(a / b) == _ref_mul(ca, inv, f)
+        else:
+            with pytest.raises(FieldError):
+                a / b
+        assert repr(a) == _ref_text(ca, K.gen_name)
+        assert denominator_of(a) == math.lcm(*(c.denominator for c in ca))
+        for root in roots:
+            want = _ref_mod_p(ca, p, root)
+            if want is None:
+                with pytest.raises(FieldError):
+                    reduce_mod_prime(a, p, root)
+            else:
+                assert reduce_mod_prime(a, p, root).payload == want
+        if any(ca[1:]):
+            with pytest.raises(FieldError):
+                as_integer(a, 1)
+        else:
+            for divisor in (1, 2, 3, 5):
+                q = ca[0] / divisor
+                if q.denominator == 1:
+                    assert as_integer(a, divisor) == q
+                else:
+                    with pytest.raises(FieldError):
+                        as_integer(a, divisor)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_number_field_payload_is_canonical(n):
+    # equal values built different ways have equal payloads and hashes
+    K = cyclotomic_field(n)
+    z = K.gen()
+
+    def same(s, t):
+        assert s.payload == t.payload and hash(s) == hash(t)
+
+    same(z / 2, (2 * z) / 4)
+    same(z / 2, z * Fraction(3, 6))
+    same(K.zero(), z - z)
+    assert K.zero().payload == (0,) * K.degree + (1,)
+    same(K.one(), (z / 3) / (z / 3))
+    same(K.scalar(-2), (z * 4 - z * 4) - 2)
+    rng = random.Random(60 + n)
+    for _ in range(40):
+        ca, cb = _random_coeffs(rng, K.degree), _random_coeffs(rng, K.degree)
+        a, b = _build(K, ca), _build(K, cb)
+        same((a + b) - b, a)
+        same(a * 6 / 6, a)
+        if any(cb):
+            same((a * b) / b, a)
+            same(b * (K.one() / b), K.one())
+        for s in (a + b, a - b, a * b):
+            _coeffs(s)
 
 
 def test_denominator_of():
