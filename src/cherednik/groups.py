@@ -11,7 +11,7 @@ from fractions import Fraction
 from .linalg import ExactMatrix
 from .multipoly import MultiPoly, buchberger, normal_form, standard_monomials
 from .scalars import QQ, FieldError, Scalar, as_integer, cyclotomic_field, \
-    parse_scalar
+    descend, parse_scalar
 
 
 class GroupDataError(Exception):
@@ -47,20 +47,6 @@ def mat_identity(spec, n):
     one, zero = spec.one(), spec.zero()
     return tuple(tuple(one if i == j else zero for j in range(n))
                  for i in range(n))
-
-
-def mat_inv(spec, a):
-    n = len(a)
-    m = ExactMatrix(spec, n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            if not a[i][j].is_zero():
-                m.entries[(i, j)] = a[i][j]
-        m.entries[(i, n + i)] = spec.one()
-    r, pivots = m.rref()
-    if pivots != list(range(n)):
-        raise FieldError("matrix is singular")
-    return tuple(tuple(r[(i, n + j)] for j in range(n)) for i in range(n))
 
 
 def mat_sub_identity(spec, a):
@@ -163,17 +149,12 @@ class Irrep:
         parent, gi = G.parent_edge[element_index]
         return mat_mul(G.spec, self.matrix(parent), self.gen_matrices[gi])
 
+    @functools.cache
     def character(self):
         """Character value on each conjugacy class."""
         G = self.group
-        out = []
-        for cls in G.conj_classes:
-            m = self.matrix(cls[0])
-            tr = G.spec.zero()
-            for i in range(self.dim):
-                tr = tr + m[i][i]
-            out.append(tr)
-        return out
+        return tuple(sum((self.matrix(cls[0])[i][i] for i in range(self.dim)),
+                         G.spec.zero()) for cls in G.conj_classes)
 
 
 class CoinvariantAlgebra:
@@ -468,23 +449,18 @@ class ReflectionGroup:
                         raise GroupDataError(
                             f"irrep {rho.label}: matrices violate the "
                             "multiplication table")
-        # character orthonormality
-        chars = [rho.character() for rho in self.irreps]
-        sizes = [len(c) for c in self.conj_classes]
-        for a, ca in enumerate(chars):
-            for b, cb in enumerate(chars):
-                s = spec.zero()
-                for ci, cls in enumerate(self.conj_classes):
-                    rep = cls[0]
-                    inv_cls = self.class_of[self.inverse[rep]]
-                    s = s + ca[ci] * cb[inv_cls] * sizes[ci]
-                expect = self.order if a == b else 0
-                if s != spec.scalar(expect):
-                    raise GroupDataError(
-                        "shipped irreps fail character orthogonality")
+        # character orthonormality: each character decomposes as its own
+        # irrep, once (the matrices are representations by now, so every
+        # multiplicity is an integer)
+        for rho in self.irreps:
+            if self.multiplicities({0: rho.character()}) != [
+                    {0: 1} if other is rho else {} for other in self.irreps]:
+                raise GroupDataError(
+                    "shipped irreps fail character orthogonality")
         if sum(rho.dim ** 2 for rho in self.irreps) != self.order:
             raise GroupDataError("irrep dimensions do not sum to |G|")
 
+    @functools.cache
     def graded_coinvariant_characters(self):
         """Character of each graded piece of K[V]_G, one row per degree."""
         co = self.coinvariant_algebra("V")
@@ -506,33 +482,53 @@ class ReflectionGroup:
             out.append(row)
         return out
 
-    def fake_degree(self, rho: Irrep):
-        """Graded multiplicity of rho in the coinvariant algebra of the
-        dual side, as a list of integer coefficients by degree.
+    @functools.cache
+    def _class_weights(self):
+        """Per irrep, |C| chi(C^{-1}) on each conjugacy class C."""
+        return [tuple(len(cls) * chi[self.class_of[self.inverse[cls[0]]]]
+                      for cls in self.conj_classes)
+                for chi in (rho.character() for rho in self.irreps)]
 
-        Pairing against chi(g) rather than chi(g^{-1}) computes the
-        multiplicities in the coinvariants of V's symmetric algebra, which
-        is the convention behind the phi_{d,b} labels this reproduces: it
-        puts the reflection representation itself at b = 1."""
-        graded = self.graded_coinvariant_characters()
-        chi = rho.character()
-        sizes = [len(c) for c in self.conj_classes]
-        coeffs = []
-        for row in graded:
-            s = self.spec.zero()
-            for ci, cls in enumerate(self.conj_classes):
-                s = s + row[ci] * chi[ci] * sizes[ci]
-            coeffs.append(as_integer(s, self.order))
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return coeffs
+    def multiplicities(self, class_values):
+        """Decompose a graded class function {degree: [value per class]}
+        into irreducibles: one row {degree: multiplicity} per irrep, in
+        label order, by (1/|G|) sum_C |C| f(C) chi(C^{-1}).  Each value is
+        brought down to the group's field first (``descend``), so a trace
+        over a parameter ring must be one of its constants."""
+        values = {d: [descend(v, self.spec) for v in row]
+                  for d, row in class_values.items()}
+        out = []
+        for weights in self._class_weights():
+            row = {}
+            for d, vals in values.items():
+                s = self.spec.zero()
+                for v, w in zip(vals, weights):
+                    if not v.is_zero():
+                        s = s + v * w
+                m = as_integer(s, self.order)
+                if m:
+                    row[d] = m
+            out.append(row)
+        return out
 
     def _assign_labels(self):
+        """Label each irrep phi_{dim,b} by its fake degree: its graded
+        multiplicity in the coinvariant algebra of the dual side.
+
+        Reading the coinvariant characters at g^{-1}, that is pairing them
+        against chi(g) rather than chi(g^{-1}), computes the multiplicities
+        in the coinvariants of V's symmetric algebra, which is the
+        convention behind the phi_{d,b} labels this reproduces: it puts the
+        reflection representation itself at b = 1."""
+        inv = [self.class_of[self.inverse[cls[0]]]
+               for cls in self.conj_classes]
+        rows = self.multiplicities(
+            {d: [row[i] for i in inv]
+             for d, row in enumerate(self.graded_coinvariant_characters())})
         data = []
-        for rho in self.irreps:
-            fd = self.fake_degree(rho)
-            b = next(i for i, c in enumerate(fd) if c)
-            rho.b_invariant = b
+        for rho, row in zip(self.irreps, rows):
+            fd = [row.get(d, 0) for d in range(max(row) + 1)]
+            rho.b_invariant = b = min(row)
             rho.fake_degree = fd
             data.append((rho.dim, b, fd, rho))
         groups = {}

@@ -639,14 +639,17 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
     otherwise every family is processed, and the record also carries the
     full decomposition matrix and the CM families.  The run is exact and
     draws nothing, so ``seed`` is accepted and ignored.  Raises
-    ParameterError when the parameter belongs to another group, its ring is
-    not a field or ``families`` is not an Euler family, and LiftFailure
-    naming the families whose decomposition rows did not peel."""
+    ParameterError when the parameter belongs to another group, its t is
+    nonzero, its ring is not a field or ``families`` is not an Euler family,
+    and LiftFailure naming the families whose decomposition rows did not
+    peel."""
     from .records import GordonRecord, family_text, poly_in_t
     from .algebra import euler_families as _euler_families
 
     if par.group is not group:
         raise ParameterError("parameter bound to a different group")
+    if not par.t.is_zero():
+        raise ParameterError("the restricted algebra lives at t = 0")
     if not par.ring.is_field:
         raise ParameterError(f"parameters over {par.ring} are not a field; "
                              "use a point or a one-variable function field")

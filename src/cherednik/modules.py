@@ -20,20 +20,22 @@ on first use and kept by ``functools.cache`` on ``_verma_pencil`` and
 evaluates the pencil at a parameter and returns new matrices on every
 call.
 
-Graded characters come from class traces per degree.  ``verma_character``
-takes them in closed form from the coinvariants; ``dual_character`` reads
-them off a dual spin of a Verma module with one pivot entry per basis
-vector and class; ``graded_character`` multiplies out degree blocks of any
-module's g-matrices and serves the tests as the oracle of both."""
+Graded characters come from class traces per degree, which
+``ReflectionGroup.multiplicities`` decomposes into irreducibles over the
+group's field.  ``verma_character`` takes the traces in closed form from
+the coinvariants; ``dual_character`` reads them off a dual spin of a Verma
+module with one pivot entry per basis vector and class;
+``graded_character`` multiplies out degree blocks of any module's
+g-matrices and serves the tests as the oracle of both."""
 
 from __future__ import annotations
 
 import functools
 
-from .algebra import CherednikParameter, commutator_telescope
+from .algebra import CherednikParameter, ParameterError, \
+    commutator_telescope
 from .groups import Irrep, ReflectionGroup
 from .linalg import Echelon, ExactMatrix
-from .scalars import as_integer
 
 
 class ModuleError(Exception):
@@ -210,7 +212,10 @@ def verma_module(group: ReflectionGroup, par: CherednikParameter,
     the y's are linear in c, so the module is the pencil of
     ``_verma_pencil`` (cached per (group, irrep), built on the first call)
     evaluated at par: y_i = sum_j c_j Y_i^(j), the g's and x's embedded
-    into par.ring.  Every call returns new matrices."""
+    into par.ring.  Every call returns new matrices; a parameter with
+    t != 0 raises ParameterError."""
+    if not par.t.is_zero():
+        raise ParameterError("baby Verma modules live at t = 0")
     degrees, ys, gxs = _verma_pencil(group, rho)
     ring = par.ring
     dim = len(degrees)
@@ -354,7 +359,7 @@ def graded_character(group: ReflectionGroup, module: GradedModule):
                 tr = tr + b[(i, i)]
             traces.append(tr)
         class_traces[dgr] = traces
-    return _multiplicities(group, spec, class_traces)
+    return group.multiplicities(class_traces)
 
 
 def verma_character(group: ReflectionGroup, rho: Irrep):
@@ -367,10 +372,9 @@ def verma_character(group: ReflectionGroup, rho: Irrep):
 @functools.cache
 def _verma_character_rows(group: ReflectionGroup, rho: Irrep):
     chi = rho.character()
-    class_traces = {
+    return group.multiplicities({
         dgr: [t * c for t, c in zip(traces, chi)]
-        for dgr, traces in enumerate(group.graded_coinvariant_characters())}
-    return _multiplicities(group, group.spec, class_traces)
+        for dgr, traces in enumerate(group.graded_coinvariant_characters())})
 
 
 def dual_character(group: ReflectionGroup, rho: Irrep, dual: ExactMatrix):
@@ -399,29 +403,7 @@ def dual_character(group: ReflectionGroup, rho: Irrep, dual: ExactMatrix):
             for i, v in _element_column(group, rho, g, p, s).items():
                 traces[ci] = traces[ci] + ring.embed(v) * s[i]
     return (dict(sorted(pseries.items())),
-            _multiplicities(group, ring, dict(sorted(class_traces.items()))))
-
-
-def _multiplicities(group, spec, class_traces):
-    """graded_character's rows from class traces {degree: [per class]}."""
-    inv_classes = [group.class_of[group.inverse[cls[0]]]
-                   for cls in group.conj_classes]
-    out = []
-    for rho in group.irreps:
-        chi = rho.character()
-        weights = [spec.embed(chi[inv]) * len(cls)
-                   for inv, cls in zip(inv_classes, group.conj_classes)]
-        row = {}
-        for dgr, traces in class_traces.items():
-            s = spec.zero()
-            for t, w in zip(traces, weights):
-                if not t.is_zero():
-                    s = s + t * w
-            m = as_integer(s, group.order)
-            if m:
-                row[dgr] = m
-        out.append(row)
-    return out
+            group.multiplicities(dict(sorted(class_traces.items()))))
 
 
 # ---------------------------------------------------------------------------

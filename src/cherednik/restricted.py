@@ -78,12 +78,9 @@ def bad_primes(group: ReflectionGroup):
             dens.add(denominator_of(c))
         # group action on the monomial basis enters the PBW structure
         # constants through the generator matrices; include them directly
-    from .groups import mat_inv
     for g in group.gens:
-        for row in g:
-            for v in row:
-                dens.add(denominator_of(v))
-        for row in mat_inv(group.spec, g):
+        g_inv = group.elements[group.inverse[group.element_index[g]]]
+        for row in g + g_inv:
             for v in row:
                 dens.add(denominator_of(v))
     primes = set()

@@ -942,33 +942,35 @@ def denominator_of(a: Scalar) -> int:
 
 
 def as_integer(s: Scalar, divisor: int) -> int:
-    """Exact value of s / divisor as an int, for a constant s of Q, a number
-    field, or a polynomial ring or function field over them."""
-    q = _as_fraction(s) / divisor
+    """Exact value of s / divisor as an int, for a rational constant s of
+    any tower over Q (``descend`` to Q)."""
+    q = descend(s, QQ).payload / divisor
     if q.denominator != 1:
         raise FieldError(f"{s!r} / {divisor} is not an integer")
     return int(q)
 
 
-def _as_fraction(s: Scalar) -> Fraction:
-    spec, p = s.spec, s.payload
-    if spec.kind == "rationals":
-        return p
-    if spec.kind == "number-field" and not any(p[1:-1]):
-        return Fraction(p[0], p[-1])
-    if spec.kind == "poly-ring":
-        if not p:
-            return Fraction(0)
-        if len(p) == 1 and not any(p[0][0]):
-            return _as_fraction(Scalar(spec.base, p[0][1]))
-    if spec.kind == "rational-function-field":
-        num, den = p
-        if not num:
-            return Fraction(0)
-        if len(num) == 1 and len(den) == 1:
-            return _as_fraction(Scalar(spec.base, num[0])) \
-                / _as_fraction(Scalar(spec.base, den[0]))
-    raise FieldError(f"{s!r} is not a rational constant")
+def descend(s: Scalar, spec: FieldSpec) -> Scalar:
+    """The constant s as a scalar of ``spec``, a level of s's tower: each
+    polynomial ring and function field on the way down gives up its
+    constant term, a number field its rational value; a value that is not
+    a constant of ``spec`` raises FieldError."""
+    while s.spec != spec:
+        kind, base, p = s.spec.kind, s.spec.base, s.payload
+        if kind == "number-field" and not any(p[1:-1]):
+            p = Fraction(p[0], p[-1])
+        elif kind == "poly-ring" and not p:
+            p = base.payload_zero()
+        elif kind == "poly-ring" and len(p) == 1 and not any(p[0][0]):
+            p = p[0][1]
+        elif kind == "rational-function-field" and len(p[0]) <= 1 \
+                and len(p[1]) == 1:
+            # the denominator is monic, so a constant one is 1
+            p = p[0][0] if p[0] else base.payload_zero()
+        else:
+            raise FieldError(f"{s!r} is not a constant of {spec}")
+        s = Scalar(base, p)
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,24 @@ def test_trivial_character_fake_degree():
         assert triv.b_invariant == 0
 
 
+# fake degrees of the published character tables, as coefficient lists from
+# degree 0, in the order of the group files
+PUBLISHED_FAKE_DEGREES = {
+    "S3": [[1], [0, 0, 0, 1], [0, 1, 1]],
+    "C2": [[1], [0, 1]],
+    "B2": [[1], [0, 0, 0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 1, 0, 1]],
+    "G4": [[1], [0, 0, 0, 0, 1], [0] * 8 + [1], [0, 0, 0, 0, 0, 1, 0, 1],
+           [0, 0, 0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0, 1, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED_FAKE_DEGREES))
+def test_fake_degrees_match_the_published_tables(name):
+    G = load_group(name)
+    assert [rho.fake_degree for rho in G.irreps] == \
+        PUBLISHED_FAKE_DEGREES[name]
+
+
 def test_fake_degree_sum_is_poincare_series():
     G = load_group("G4")
     co = G.coinvariant_algebra("V")
@@ -298,6 +316,10 @@ MALFORMED_GROUP_FILES = {
     "dim two": (
         "group X\nfield rationals\ndim two\ngenerator\n -1\n",
         "dim must be a positive integer, got 'two'"),
+    "two equal irreps": (
+        "group X\nfield rationals\ndim 1\ngenerator\n -1\n"
+        "irrep a\nmatrix 1\n -1\nirrep b\nmatrix 1\n -1\n",
+        "shipped irreps fail character orthogonality"),
 }
 
 

@@ -248,6 +248,19 @@ def test_gordon_rejects_a_family_that_is_not_an_euler_family():
         gordon(G, CherednikParameter(G, QQ, 0, [1]), families=(1, 2))
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda G, par: gordon(G, par), id="gordon"),
+    pytest.param(lambda G, par: verma_module(G, par, G.irreps[0]),
+                 id="verma_module"),
+])
+def test_nonzero_t_is_rejected(build):
+    # the restricted algebra and its baby Verma modules live at t = 0; a
+    # record built at t = 1 would be the t = 0 one under the wrong name
+    G = load_group("S3")
+    with pytest.raises(ParameterError, match="t = 0"):
+        build(G, CherednikParameter(G, QQ, 1, [1]))
+
+
 @pytest.mark.parametrize("group,other", [("S3", "B2"), ("B2", "G4"),
                                          ("G4", "B2")])
 def test_gordon_rejects_a_parameter_of_another_group(group, other):

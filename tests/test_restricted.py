@@ -115,6 +115,8 @@ def test_bad_primes_g4():
                  id="verma_character_rows"),
     pytest.param(lambda G: G.coinvariant_algebra("V"),
                  id="coinvariant_algebra"),
+    pytest.param(lambda G: G.graded_coinvariant_characters(),
+                 id="graded_coinvariant_characters"),
     pytest.param(lambda G: G.fundamental_invariants("V"),
                  id="fundamental_invariants"),
     pytest.param(lambda G: load_group(G.name), id="load_group"),
