@@ -302,7 +302,10 @@ class PBWElement:
             + tuple(f"y{i+1}" for i in range(A.n))
         chunks = []
         for g in sorted(self.parts):
-            poly = self.parts[g].format(names)
+            part = self.parts[g]
+            # a constant prints bare: format_terms would parenthesize a sum
+            poly = repr(part.leading()[1]) if part.total_degree() == 0 \
+                else part.format(names)
             chunks.append(f"[g{g}]*({poly})" if g != A.group.identity
                           else f"({poly})")
         return " + ".join(chunks)

@@ -5,13 +5,14 @@ algebras, and the fake-degree labels used to name characters."""
 from __future__ import annotations
 
 import functools
+import math
 import os
 from fractions import Fraction
 
 from .linalg import ExactMatrix
 from .multipoly import MultiPoly, buchberger, normal_form, standard_monomials
-from .scalars import QQ, FieldError, Scalar, as_integer, cyclotomic_field, \
-    descend, parse_scalar
+from .scalars import QQ, FieldError, Scalar, _poly_divmod, as_integer, \
+    cyclotomic_field, descend, parse_scalar
 
 
 class GroupDataError(Exception):
@@ -55,6 +56,14 @@ def mat_sub_identity(spec, a):
     one = spec.one()
     return tuple(tuple((one - a[i][j]) if i == j else -a[i][j]
                        for j in range(n)) for i in range(n))
+
+
+def _fixed_codimension(spec, a):
+    """rank(id - a), the codimension of the fixed space of a."""
+    diff = mat_sub_identity(spec, a)
+    n = len(a)
+    return ExactMatrix(spec, n, n, {(i, j): diff[i][j] for i in range(n)
+                                    for j in range(n)}).rank()
 
 
 def _first_nonzero(vectors):
@@ -288,11 +297,7 @@ class ReflectionGroup:
         refs = []
         for i in range(1, self.order):
             m = self.elements[i]
-            diff = mat_sub_identity(spec, m)
-            em = ExactMatrix(spec, self.n, self.n,
-                             {(a, b): diff[a][b] for a in range(self.n)
-                              for b in range(self.n)})
-            if em.rank() == 1:
+            if _fixed_codimension(spec, m) == 1:
                 refs.append(Reflection(i, m, spec))
         if not refs:
             raise GroupDataError("group has no reflections")
@@ -398,22 +403,39 @@ class ReflectionGroup:
         return total.scale(Fraction(1, self.order))
 
     @functools.cache
+    def degrees(self):
+        """The degrees d_1 <= ... <= d_n of the basic invariants.
+
+        The group is generated by its reflections (checked on
+        construction), so the sum over g of q^(dim V^g) is the product of
+        the q + d_i - 1 (Shephard-Todd 1954): the d_i are read off its
+        integer roots -(d - 1), divided out with multiplicity, where
+        dim V^g = n - rank(g - 1)."""
+        counts = [0] * (self.n + 1)     # counts[k]: elements with dim V^g = k
+        for m in self.elements:
+            counts[self.n - _fixed_codimension(self.spec, m)] += 1
+        degrees = []
+        for d in range(1, self.order + 1):
+            while len(counts) > 1:
+                quotient, remainder = _poly_divmod(
+                    QQ, counts, (Fraction(d - 1), Fraction(1)))
+                if remainder:
+                    break
+                degrees.append(d)
+                counts = quotient
+        return tuple(degrees)
+
+    @functools.cache
     def fundamental_invariants(self, side):
-        """Basic invariants: the Reynolds images of the monomials, degree by
-        degree, keeping each one outside the ideal that those kept so far
-        generate.  The test is exact: the kept ones are minimal homogeneous
-        generators of the ideal of positive-degree invariants, and those are
-        basic invariants (Chevalley 1955)."""
+        """Basic invariants: the Reynolds images of the monomials in each of
+        the group's degrees, keeping each one outside the ideal that those
+        kept so far generate.  The test is exact: the kept ones are minimal
+        homogeneous generators of the ideal of positive-degree invariants,
+        and those are basic invariants (Chevalley 1955), of the degrees in
+        ``degrees()``; no other degree can give a kept one."""
         chosen = []
         groebner = buchberger(chosen)
-        degree = 1
-        max_degree = 2 * self.order + 2
-        while len(chosen) < self.n:
-            degree += 1
-            if degree > max_degree:
-                raise GroupDataError(
-                    "failed to find fundamental invariants within the "
-                    "degree bound (bad group data?)")
+        for degree in sorted(set(self.degrees())):
             for mono in _monomials_of_degree(self.n, degree):
                 p = MultiPoly(self.spec, self.n, {mono: self.spec.one()})
                 inv = self.reynolds(p, side)
@@ -422,9 +444,12 @@ class ReflectionGroup:
                     if len(chosen) == self.n:
                         break
                     groebner = buchberger(chosen)
-        prod = 1
-        for f in chosen:
-            prod *= f.total_degree()
+        kept = tuple(f.total_degree() for f in chosen)
+        if kept != self.degrees():
+            raise GroupDataError(
+                f"fundamental invariants of degrees {kept}, expected the "
+                f"group's degrees {self.degrees()}")
+        prod = math.prod(kept)
         if prod != self.order:
             raise GroupDataError(
                 f"fundamental invariant degrees multiply to {prod}, "

@@ -23,18 +23,16 @@ to F_p, take its radical there, record only the radical's
 field-independent shape (pivot skeleton plus the equality pattern of the
 non-pivot entries), and re-find a submodule with that shape over the
 original field by solving the linear strata of the invariance equations of
-the y's."""
+the y's.  Only this F_p oracle imports numpy and ``meataxe``, inside the
+functions that use them, so ``gordon`` runs where numpy is not installed."""
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .algebra import CherednikParameter, ParameterError
 from .groups import ReflectionGroup
 from .linalg import ExactMatrix
-from .meataxe import FpModule
 from .modules import GradedModule, dual_character, graded_spin, \
     is_invariant_subspace, quotient_module, verma_character, verma_module
 from .restricted import bad_primes, is_potentially_integral
@@ -123,6 +121,10 @@ def scalar_to_fp(s: Scalar, ff: FiniteFieldSpec) -> int:
 
 
 def specialize_module(module: GradedModule, ff: FiniteFieldSpec) -> FpModule:
+    import numpy as np
+
+    from .meataxe import FpModule
+
     mats = []
     for m in module.mats:
         a = np.zeros((module.dim, module.dim), dtype=np.int64)
@@ -133,6 +135,8 @@ def specialize_module(module: GradedModule, ff: FiniteFieldSpec) -> FpModule:
 
 
 def _primes_in(lo, hi):
+    import numpy as np
+
     sieve = np.ones(max(hi + 1, 3), dtype=bool)
     sieve[:2] = False
     for i in range(2, int(hi ** 0.5) + 1):
@@ -265,6 +269,8 @@ def abstract_structure(matrix) -> AbstractStructure:
 
         return _structure_from_columns(matrix.nrows, matrix.ncols, pivots,
                                        value_at)
+    import numpy as np
+
     a = np.asarray(matrix)
     nrows, ncols = a.shape
     pivots = []

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -98,6 +99,22 @@ def test_fundamental_invariants_degrees():
     G4 = load_group("G4")
     invs4 = G4.fundamental_invariants("V")
     assert sorted(f.total_degree() for f in invs4) == [4, 6]
+
+
+PUBLISHED_DEGREES = {"S3": (2, 3), "C2": (2,), "B2": (2, 4), "G4": (4, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED_DEGREES))
+def test_degrees_match_the_published_degrees(name):
+    # Shephard-Todd: prod d_i = |G| and sum (d_i - 1) counts the reflections
+    G = load_group(name)
+    degrees = G.degrees()
+    assert degrees == PUBLISHED_DEGREES[name]
+    assert math.prod(degrees) == G.order
+    assert sum(d - 1 for d in degrees) == len(G.reflections)
+    for side in ("V", "V*"):
+        assert [f.total_degree() for f in G.fundamental_invariants(side)] \
+            == list(degrees)
 
 
 def test_coinvariant_dimensions():

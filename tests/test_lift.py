@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +294,39 @@ def test_full_gordon_record_is_pinned(case):
         hyperplane = "k1_1-k2_1" if case == "B2_hyp" else ""
     want = (DATA / f"{case}.txt").read_text()
     assert gordon(G, par, hyperplane).to_text() == want
+
+
+WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None     # any import of numpy now fails
+import cherednik
+from cherednik import algebra, groups, lift
+S3, G4 = groups.load_group("S3"), groups.load_group("G4")
+records = [
+    lift.gordon(S3, algebra.CherednikParameter(S3, S3.spec, 0, [1]),
+                families=(1,)).to_text(),
+    lift.gordon(G4, algebra.ggor_from_values(
+        G4, G4.spec, {(0, 1): 1, (0, 2): 3}).to_cherednik(),
+                families=(4,)).to_text(),
+]
+print(json.dumps({"meataxe": "cherednik.meataxe" in sys.modules,
+                  "records": records}))
+"""
+
+
+def test_gordon_runs_without_numpy():
+    # only the F_p oracle needs numpy and the MeatAxe
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    got = json.loads(out)
+    assert not got["meataxe"]
+    S3, (G4, par) = load_group("S3"), g4_k13()
+    assert got["records"] == [
+        gordon(S3, CherednikParameter(S3, QQ, 0, [1]), families=(1,))
+        .to_text(),
+        gordon(G4, par, families=(4,)).to_text()]
 
 
 def test_find_submodule_fails_where_the_radical_collides_mod_p():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.algebra import CherednikAlgebra, restrict_to_hyperplane
+from cherednik.algebra import CherednikAlgebra, CherednikParameter, \
+    restrict_to_hyperplane
 from cherednik.groups import load_group
 from cherednik.scalars import (
     QQ,
@@ -392,6 +393,14 @@ def _pbw_on_b2_hyperplane():
     return A.y(0) * A.x(0) * A.x(1)
 
 
+def _pbw_with_constant_sums():
+    # G4 at t = 1: the commutator leaves group parts that are constant sums
+    G = load_group("G4")
+    A = CherednikAlgebra(G, CherednikParameter(
+        G, G.spec, 1, [1, parse_scalar("z3+2", G.spec)]))
+    return A.y(1) * A.g(1) * A.x(0)
+
+
 @pytest.mark.parametrize("make,text", [
     (lambda: parse_scalar("(1 - k + (2 + z3)*k^2)/(z3 + k)",
                           RationalFunctionField(cyclotomic_field(3), "k")),
@@ -404,7 +413,12 @@ def _pbw_on_b2_hyperplane():
     (lambda: load_group("G4").fundamental_invariants("V")[0],
      "x1^4 - x1*x2^3"),
     (_pbw_on_b2_hyperplane, "(x1*x2*y1) + [g2]*(2*k*x2)"),
-], ids=["function-field", "poly-ring", "number-field", "invariant", "pbw"])
+    (_pbw_with_constant_sums,
+     "[g1]*(x1*y2) + [g4]*(-1/3*z3 - 1/3) + [g5]*(1/3) + "
+     "[g9]*(-2/3*z3 - 1/3) + [g11]*(1/3*z3 + 2/3) + [g18]*(1/3*z3) + "
+     "[g23]*(1/3*z3 - 1/3)"),
+], ids=["function-field", "poly-ring", "number-field", "invariant", "pbw",
+        "pbw-constant-sums"])
 def test_printed_text(make, text):
     # term order, unit coefficients, parentheses and signs of each printer
     assert repr(make()) == text
