@@ -192,22 +192,24 @@ def _is_negative_rational(s: Scalar):
     return False
 
 
-def commutator_telescope(group: ReflectionGroup, s, i, mu) -> MultiPoly:
-    """The x-polynomial P_s(i, mu), in n variables over the group field, with
+def commutator_telescope(group: ReflectionGroup, s, mu) -> MultiPoly:
+    """The x-polynomial Q_s(mu), in n variables over the group field, with
 
-        [y_i, x^mu] = t mu_i x^(mu - e_i) + sum_s c(s) P_s(i, mu) s.
+        [y_i, x^mu] = t mu_i x^(mu - e_i) + sum_s c(s) coroot_s[i] Q_s(mu) s.
 
-    P_s(i, .) is a twisted derivation, so it follows the Leibniz rule
-    P_s(i, x^nu x_j) = P_s(i, x^nu) (s x_j) + (y_i, x_j)_s x^nu, with
-    P_s(i, 1) = 0; the loop applies it one variable at a time."""
+    (y_i, x_j)_s = coroot_s[i] Q_s(x_j) is rank one in i, with
+    Q_s(x_j) = root_s[j] / <coroot_s, root_s> (``Reflection.scaled_root``).
+    Q_s is a twisted derivation, so it follows the Leibniz rule
+    Q_s(x^nu x_j) = Q_s(x^nu) (s x_j) + Q_s(x_j) x^nu, with Q_s(1) = 0; the
+    loop applies it one variable at a time."""
     spec, n = group.spec, group.n
     imgs = group.variable_images(s.element, "V")
     total = MultiPoly.zero(spec, n)
     nu = [0] * n
     for j in range(n):
-        pij = s.pairing(i, j)
+        qj = s.scaled_root[j]
         for _ in range(mu[j]):
-            total = total * imgs[j] + MultiPoly(spec, n, {tuple(nu): pij})
+            total = total * imgs[j] + MultiPoly(spec, n, {tuple(nu): qj})
             nu[j] += 1
     return total
 
@@ -404,17 +406,17 @@ class CherednikAlgebra:
     # -- commutator formula ----------------------------------------------------
     def commutator_group_part(self, i, mu):
         """{reflection element -> x-polynomial}: the group-supported part of
-        [y_i, x^mu], with the parameter factor c(s) included."""
+        [y_i, x^mu], with the factor c(s) coroot_s[i] included."""
         key = (i, mu)
         hit = self._comm.get(key)
         if hit is None:
             hit = {}
             for s in self.group.reflections:
                 cs = self.par.c_of(s)
-                if cs.is_zero():
+                if cs.is_zero() or s.coroot[i].is_zero():
                     continue
-                poly = self._lift(commutator_telescope(self.group, s, i, mu),
-                                  0).scale(cs)
+                poly = self._lift(commutator_telescope(self.group, s, mu),
+                                  0).scale(self.ring.embed(s.coroot[i]) * cs)
                 if not poly.is_zero():
                     hit[s.element] = poly
             self._comm[key] = hit

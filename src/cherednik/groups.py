@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from .linalg import ExactMatrix
 from .multipoly import MultiPoly, buchberger, normal_form, standard_monomials
-from .scalars import QQ, FieldError, Scalar, _poly_divmod, as_integer, \
-    cyclotomic_field, descend, parse_scalar
+from .scalars import QQ, FieldError, Scalar, _poly_divmod, _poly_mul, \
+    as_integer, cyclotomic_field, descend, parse_scalar
 
 
 class GroupDataError(Exception):
@@ -82,9 +82,8 @@ def _normalize_covector(row):
 class Reflection:
     """A group element with codimension-one fixed space."""
 
-    __slots__ = ("element", "matrix", "root", "coroot", "eps", "hyperplane",
-                 "orbit", "triple", "conj_class", "refl_class",
-                 "_pair_scale")
+    __slots__ = ("element", "matrix", "root", "coroot", "scaled_root", "eps",
+                 "hyperplane", "orbit", "triple", "conj_class", "refl_class")
 
     def __init__(self, element, matrix, spec):
         self.element = element
@@ -99,7 +98,9 @@ class Reflection:
             raise GroupDataError(
                 "non-diagonalizable reflection: root pairs to zero with its "
                 "coroot")
-        self._pair_scale = spec.one() / denom    # 1 / <coroot, root>
+        # root / <coroot, root>: (y_i, x_j)_s = coroot[i] * scaled_root[j]
+        scale = spec.one() / denom
+        self.scaled_root = tuple(r * scale for r in root)
         # nontrivial eigenvalue, s(root) = eps * root; it is also det(s)
         i = next(i for i, v in enumerate(root) if not v.is_zero())
         self.eps = sum((a * r for a, r in zip(matrix[i], root)),
@@ -112,7 +113,7 @@ class Reflection:
 
     def pairing(self, i, j):
         """(y_i, x_j)_s for basis vectors."""
-        return self.coroot[i] * self.root[j] * self._pair_scale
+        return self.coroot[i] * self.scaled_root[j]
 
 
 def cartan_pairing(y, x, s: Reflection) -> Scalar:
@@ -120,8 +121,8 @@ def cartan_pairing(y, x, s: Reflection) -> Scalar:
     given by coordinate tuples."""
     spec = s.eps.spec
     a = sum((c * v for c, v in zip(s.coroot, y)), spec.zero())
-    b = sum((r * v for r, v in zip(s.root, x)), spec.zero())
-    return a * b * s._pair_scale
+    b = sum((r * v for r, v in zip(s.scaled_root, x)), spec.zero())
+    return a * b
 
 
 class HyperplaneOrbit:
@@ -183,8 +184,7 @@ class CoinvariantAlgebra:
         self.degrees = [sum(e) for e in self.monomials]
         # images of the variables must be standard monomials
         for i in range(self.n):
-            e = tuple(1 if j == i else 0 for j in range(self.n))
-            if e not in self.index:
+            if _unit(self.n, i) not in self.index:
                 raise GroupDataError(
                     "a variable is not a standard monomial of the "
                     "coinvariant algebra")
@@ -206,10 +206,28 @@ class CoinvariantAlgebra:
 
     @functools.cache
     def act(self, element_index, mono):
-        """Normal form of g . monomial, as index -> Scalar."""
-        imgs = self.group.variable_images(element_index, self.side)
-        p = MultiPoly(self.spec, self.n, {mono: self.spec.one()})
-        return self.nf_coeffs(p.substitute(imgs))
+        """Normal form of g . monomial, as index -> Scalar: the product of
+        g . x^(mono - e_j) and g . x_j, for the last variable x_j of the
+        monomial, with x^eta x_t taken from ``multiply``.  A divisor of a
+        standard monomial is standard, so the recursion stays on them."""
+        j = max((t for t, a in enumerate(mono) if a), default=None)
+        if j is None:
+            return {self.index[mono]: self.spec.one()}
+        rest = list(mono)
+        rest[j] -= 1
+        column = [(t, row[j]) for t, row in enumerate(
+            self.group.variable_matrix(element_index, self.side))
+            if not row[j].is_zero()]
+        out = {}
+        for eta_idx, a in self.act(element_index, tuple(rest)).items():
+            eta = self.monomials[eta_idx]
+            for t, c in column:
+                ac = a * c
+                for k, b in self.multiply(eta, _unit(self.n, t)).items():
+                    term = ac * b
+                    cur = out.get(k)
+                    out[k] = term if cur is None else cur + term
+        return {k: v for k, v in out.items() if not v.is_zero()}
 
     def structure_constants(self):
         for e1 in self.monomials:
@@ -374,26 +392,24 @@ class ReflectionGroup:
         """Action on V* in the dual basis: inverse transpose."""
         return tuple(zip(*self.elements[self.inverse[element_index]]))
 
-    def variable_images(self, element_index, side):
-        """Images of the coordinate variables under g as MultiPolys.
+    def variable_matrix(self, element_index, side):
+        """The matrix of g on the coordinate variables, column i holding the
+        image of variable i.
 
         side 'V': variables x_i spanning V* (so the dual action applies);
         side 'V*': variables y_i spanning V.
         """
         if side == "V":
-            m = self.dual_matrix(element_index)
-        else:
-            m = self.elements[element_index]
-        out = []
-        for i in range(self.n):
-            terms = {}
-            for j in range(self.n):
-                c = m[j][i]
-                if not c.is_zero():
-                    e = tuple(1 if t == j else 0 for t in range(self.n))
-                    terms[e] = c
-            out.append(MultiPoly(self.spec, self.n, terms))
-        return out
+            return self.dual_matrix(element_index)
+        return self.elements[element_index]
+
+    def variable_images(self, element_index, side):
+        """Images of the coordinate variables under g as MultiPolys."""
+        m = self.variable_matrix(element_index, side)
+        return [MultiPoly(self.spec, self.n,
+                          {_unit(self.n, j): m[j][i] for j in range(self.n)
+                           if not m[j][i].is_zero()})
+                for i in range(self.n)]
 
     # -- invariant theory --------------------------------------------------------
     def reynolds(self, poly: MultiPoly, side) -> MultiPoly:
@@ -463,14 +479,18 @@ class ReflectionGroup:
     # -- characters and labels ---------------------------------------------------
     def _validate_irreps(self):
         spec = self.spec
+        gens = [self.element_index[g] for g in self.gens]
         for rho in self.irreps:
-            # homomorphism property against the multiplication table
-            for gi, gmat in enumerate(rho.gen_matrices):
-                for h in range(self.order):
-                    lhs = mat_mul(spec, rho.matrix(h), gmat)
-                    rhs = rho.matrix(self.mult[h][self.element_index[
-                        self.gens[gi]]])
-                    if lhs != rhs:
+            # homomorphism property against the multiplication table, in
+            # index order: rho(h) rho(g_i) = rho(h g_i).  On a tree edge,
+            # parent_edge[h g_i] == (h, i), the right side is the left by
+            # definition of rho.matrix, so only the other edges are checked.
+            for h in range(self.order):
+                rho_h = rho.matrix(h)
+                for gi, gmat in enumerate(rho.gen_matrices):
+                    hg = self.mult[h][gens[gi]]
+                    if self.parent_edge[hg] != (h, gi) and \
+                            mat_mul(spec, rho_h, gmat) != rho.matrix(hg):
                         raise GroupDataError(
                             f"irrep {rho.label}: matrices violate the "
                             "multiplication table")
@@ -487,25 +507,54 @@ class ReflectionGroup:
 
     @functools.cache
     def graded_coinvariant_characters(self):
-        """Character of each graded piece of K[V]_G, one row per degree."""
-        co = self.coinvariant_algebra("V")
-        maxdeg = max(co.degrees)
-        by_degree = {}
-        for idx, e in enumerate(co.monomials):
-            by_degree.setdefault(sum(e), []).append(idx)
-        out = []
-        for d in range(maxdeg + 1):
-            idxs = by_degree.get(d, [])
-            row = []
-            for cls in self.conj_classes:
-                g = cls[0]
-                tr = self.spec.zero()
-                for i in idxs:
-                    tr = tr + co.act(g, co.monomials[i]).get(
-                        i, self.spec.zero())
-                row.append(tr)
-            out.append(row)
-        return out
+        """Character of each graded piece of K[V]_G (the coinvariants in the
+        variables x spanning V*): one tuple per degree 0, 1, ..., N, holding
+        one value per conjugacy class.
+
+        K[V] = K[V]^G (x) K[V]_G as graded G-modules (Chevalley 1955), and
+        K[V]^G is a polynomial ring on invariants of the degrees d_i of
+        ``degrees()``, so
+            sum_d tr(g | K[V]_G,d) q^d = prod_i (1 - q^d_i) / det(1 - q D(g))
+        with D(g) = ``dual_matrix(g)``.  The coefficients of det(1 - q D(g))
+        come from the power sums tr D(g)^k = tr D(g^k), with g^k read off
+        the group table, by Newton's identities.  The division is exact; a
+        remainder means the group data is inconsistent."""
+        spec, n = self.spec, self.n
+        one, zero = spec.payload_one(), spec.payload_zero()
+        numerator = (one,)
+        for d in self.degrees():
+            numerator = _poly_mul(spec, numerator, (one,) + (zero,) * (d - 1)
+                                  + (spec.payload_neg(one),))
+        columns = []
+        for cls in self.conj_classes:
+            g = h = cls[0]
+            power_sums = []
+            for _ in range(n):
+                m = self.dual_matrix(h)
+                power_sums.append(sum((m[i][i] for i in range(n)),
+                                      spec.zero()))
+                h = self.mult[h][g]
+            # elementary symmetric functions of D(g)'s eigenvalues:
+            # k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i
+            e = [spec.one()]
+            for k in range(1, n + 1):
+                s = spec.zero()
+                for i in range(1, k + 1):
+                    term = e[k - i] * power_sums[i - 1]
+                    s = s + term if i % 2 else s - term
+                e.append(s / spec.scalar(k))
+            det = tuple((c if k % 2 == 0 else -c).payload
+                        for k, c in enumerate(e))
+            quotient, remainder = _poly_divmod(spec, numerator, det)
+            if remainder:
+                raise GroupDataError(
+                    "det(1 - q g) does not divide the product of the "
+                    "1 - q^d over the group's degrees")
+            columns.append(quotient)
+        top = max(len(col) for col in columns)
+        return tuple(tuple(Scalar(spec, col[d]) if d < len(col)
+                           else spec.zero() for col in columns)
+                     for d in range(top))
 
     @functools.cache
     def _class_weights(self):
@@ -580,6 +629,11 @@ class ReflectionGroup:
                     "_", ",") == norm:
                 return rho
         raise GroupDataError(f"no irrep labeled {label}")
+
+
+def _unit(n, i):
+    """The exponent of the variable i among n."""
+    return tuple(1 if t == i else 0 for t in range(n))
 
 
 def _monomials_of_degree(n, d):

@@ -5,11 +5,14 @@ A module stores one sparse action matrix per generator together with basis
 and generator degrees; every construction checks that nonzero entries
 connect degrees compatibly.  Verma modules are assembled from the
 coinvariant algebra on the polynomial side: multiplication for the x's, the
-twisted group action for the g's, and lowering tables for the y's, which
-reduce the algebra's commutator formula (``algebra.commutator_telescope``,
-the Leibniz rule of a twisted derivation) into the coinvariant algebra.  The
-table rows are independent of both the representation and the parameter,
-so they are built once per group.
+twisted group action for the g's, and lowering tables for the y's.  The
+group part of [y_i, x^mu] at a reflection s is P_s(i, mu) =
+coroot_s[i] Q_s(mu), because (y_i, x_j)_s is rank one in i, so
+``x_tables`` keeps one table per reflection: row mu holds Q_s(mu)
+(``algebra.commutator_telescope``, the Leibniz rule of a twisted
+derivation) reduced into the coinvariant algebra, and the pencil scales it
+by coroot_s[i].  The tables are independent of both the representation and
+the parameter, so they are built once per group.
 
 At t = 0 the y's act linearly in c, so a Verma module is a pencil: one
 matrix Y_i^(j) per coordinate i and reflection class j, with y_i =
@@ -36,6 +39,7 @@ from .algebra import CherednikParameter, ParameterError, \
     commutator_telescope
 from .groups import Irrep, ReflectionGroup
 from .linalg import Echelon, ExactMatrix
+from .scalars import Scalar
 
 
 class ModuleError(Exception):
@@ -99,21 +103,21 @@ class GradedModule:
 
 @functools.cache
 def x_tables(group: ReflectionGroup):
-    """Per (coordinate i, reflection s): sparse matrix over the base field
-    with row mu listing the coinvariant coefficients of the group-part
-    factor P_s(i, mu) of y_i acting on the monomial x^mu, built once per
-    group.  ``commutator_telescope`` gives P_s(i, mu) by the Leibniz rule
-    P_s(i, x^nu x_j) = P_s(i, x^nu) (s x_j) + (y_i, x_j)_s x^nu."""
+    """Per reflection s (keyed by its element): sparse matrix over the base
+    field with row mu listing the coinvariant coefficients of Q_s(mu), built
+    once per group.  The group part of y_i acting on x^mu is
+    P_s(i, mu) = coroot_s[i] Q_s(mu), and ``commutator_telescope`` gives
+    Q_s(mu) by the Leibniz rule Q_s(x^nu x_j) = Q_s(x^nu) (s x_j) +
+    Q_s(x_j) x^nu."""
     co = group.coinvariant_algebra("V")
     tables = {}
     for s in group.reflections:
-        for i in range(group.n):
-            rows = {}
-            for mu_idx, mu in enumerate(co.monomials):
-                row = co.nf_coeffs(commutator_telescope(group, s, i, mu))
-                if row:
-                    rows[mu_idx] = row
-            tables[(i, s.element)] = rows
+        rows = {}
+        for mu_idx, mu in enumerate(co.monomials):
+            row = co.nf_coeffs(commutator_telescope(group, s, mu))
+            if row:
+                rows[mu_idx] = row
+        tables[s.element] = rows
     return tables
 
 
@@ -169,18 +173,32 @@ def _verma_pencil(group: ReflectionGroup, rho: Irrep):
         return [(t, k, v) for t, row in enumerate(mat)
                 for k, v in enumerate(row) if not v.is_zero()]
 
-    # lowering operators, one matrix per (coordinate, reflection class)
-    ys = [[{} for _ in range(group.num_reflection_classes)]
-          for _ in range(n)]
+    # lowering operators, one matrix per (coordinate, reflection class):
+    # Y_i^(j) = sum over s in class j of coroot_s[i] Q_s (x) rho(s), summed
+    # on the payloads of the group's field and wrapped as Scalars at the end
+    spec = group.spec
+    mul, add = spec.payload_mul, spec.payload_add
+    sums = [[{} for _ in range(group.num_reflection_classes)]
+            for _ in range(n)]
     for s in group.reflections:
         snz = nonzero(rho.matrix(s.element))
-        for i in range(n):
-            entries = ys[i][s.refl_class]
-            for mu_idx, row in tables[(i, s.element)].items():
+        rows = tables[s.element]
+        for i, ci in enumerate(s.coroot):
+            if ci.is_zero():
+                continue
+            scaled = [(t, k, mul(ci.payload, v.payload)) for t, k, v in snz]
+            entries = sums[i][s.refl_class]
+            for mu_idx, row in rows.items():
                 for eta_idx, coeff in row.items():
-                    for t, k, v in snz:
-                        _add_entry(entries, (eta_idx * d + t,
-                                             mu_idx * d + k), coeff * v)
+                    c = coeff.payload
+                    for t, k, v in scaled:
+                        key = (eta_idx * d + t, mu_idx * d + k)
+                        term = mul(c, v)
+                        cur = entries.get(key)
+                        entries[key] = term if cur is None else add(cur, term)
+    ys = [[{key: Scalar(spec, v) for key, v in entries.items()
+            if not spec.payload_is_zero(v)} for entries in row]
+          for row in sums]
 
     # group generators: the twisted action on coinvariants tensor rho
     gxs = []

@@ -1,12 +1,14 @@
 import math
 import random
 import re
+import shutil
 from fractions import Fraction
 
 import pytest
 
-from cherednik.groups import (GroupDataError, cartan_pairing, load_group,
-                              mat_mul)
+from cherednik import groups
+from cherednik.groups import (GroupDataError, cartan_pairing, data_directory,
+                              load_group, mat_mul)
 from cherednik.multipoly import MultiPoly
 from cherednik.scalars import QQ
 
@@ -155,11 +157,13 @@ def test_character_table_sanity():
         assert sum(rho.dim ** 2 for rho in G.irreps) == G.order
 
 
+G4_LABELS = ["phi_{1,0}", "phi_{1,4}", "phi_{1,8}", "phi_{2,5}",
+             "phi_{2,3}", "phi_{2,1}", "phi_{3,2}"]
+
+
 def test_g4_character_labels_in_printed_order():
     G = load_group("G4")
-    assert [rho.label for rho in G.irreps] == [
-        "phi_{1,0}", "phi_{1,4}", "phi_{1,8}", "phi_{2,5}", "phi_{2,3}",
-        "phi_{2,1}", "phi_{3,2}"]
+    assert [rho.label for rho in G.irreps] == G4_LABELS
 
 
 def test_trivial_character_fake_degree():
@@ -209,6 +213,68 @@ def test_coinvariant_action_preserves_degree():
             img = co.act(g, mono)
             for j in img:
                 assert co.degrees[j] == co.degrees[idx]
+
+
+@pytest.mark.parametrize("name", ["S3", "C2", "B2", "G4"])
+def test_graded_coinvariant_characters_are_the_traces(name):
+    # oracle: the trace of each class representative on each degree, summed
+    # over that degree's standard monomials of the coinvariant action
+    G = load_group(name)
+    co = G.coinvariant_algebra("V")
+    zero = G.spec.zero()
+    want = []
+    for d in range(max(co.degrees) + 1):
+        idxs = [i for i, e in enumerate(co.monomials) if sum(e) == d]
+        want.append(tuple(
+            sum((co.act(cls[0], co.monomials[i]).get(i, zero)
+                 for i in idxs), zero)
+            for cls in G.conj_classes))
+    assert G.graded_coinvariant_characters() == tuple(want)
+
+
+def test_graded_coinvariant_characters_are_immutable():
+    # the cached value is shared by every caller
+    chars = load_group("B2").graded_coinvariant_characters()
+    assert isinstance(chars, tuple)
+    assert all(isinstance(row, tuple) for row in chars)
+
+
+@pytest.mark.parametrize("side", ["V", "V*"])
+@pytest.mark.parametrize("name", ["S3", "B2", "G4"])
+def test_coinvariant_action_is_the_substitution(name, side):
+    # co.act builds g . x^mu from g . x^(mu - e_j) and the products of the
+    # algebra; the oracle substitutes the variable images into x^mu and
+    # reduces the result to normal form
+    G = load_group(name)
+    co = G.coinvariant_algebra(side)
+    for g in range(G.order):
+        imgs = G.variable_images(g, side)
+        for mono in co.monomials:
+            p = MultiPoly(G.spec, G.n, {mono: G.spec.one()})
+            assert co.act(g, mono) == co.nf_coeffs(p.substitute(imgs))
+
+
+def test_loading_builds_no_coinvariant_algebra(tmp_path, monkeypatch):
+    # the labels and fake degrees come from the closed form of the graded
+    # coinvariant characters: no coinvariant algebra, Groebner basis or
+    # invariant is computed on loading
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed on loading")
+
+    monkeypatch.setattr(groups.CoinvariantAlgebra, "__init__", refuse)
+    monkeypatch.setattr(groups, "buchberger", refuse)
+    monkeypatch.setattr(groups.ReflectionGroup, "fundamental_invariants",
+                        refuse)
+    for name in ("S3", "G4"):
+        shutil.copy(f"{data_directory()}/{name}.grp", tmp_path)
+    monkeypatch.setenv("CHEREDNIK_GROUP_DB", str(tmp_path))
+    S3, G4 = load_group("S3"), load_group("G4")
+    assert [rho.label for rho in S3.irreps] == [
+        "phi_{1,0}", "phi_{1,3}", "phi_{2,1}"]
+    assert [rho.label for rho in G4.irreps] == G4_LABELS
+    for name, G in (("S3", S3), ("G4", G4)):
+        assert [rho.fake_degree for rho in G.irreps] == \
+            PUBLISHED_FAKE_DEGREES[name]
 
 
 def test_g4_reflection_class_order_det():
@@ -333,6 +399,12 @@ MALFORMED_GROUP_FILES = {
     "dim two": (
         "group X\nfield rationals\ndim two\ngenerator\n -1\n",
         "dim must be a positive integer, got 'two'"),
+    "a broken non-tree relation": (
+        # the group {1, -1}: rho(-1) rho(-1) = 4 is not rho(1) = 1, and the
+        # edge (-1) * (-1) = 1 is not an edge of the enumeration tree
+        "group X\nfield rationals\ndim 1\ngenerator\n -1\n"
+        "irrep a\nmatrix 1\n 2\n",
+        "matrices violate the multiplication table"),
     "two equal irreps": (
         "group X\nfield rationals\ndim 1\ngenerator\n -1\n"
         "irrep a\nmatrix 1\n -1\nirrep b\nmatrix 1\n -1\n",

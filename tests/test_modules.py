@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cherednik.algebra import CherednikAlgebra, CherednikParameter, \
+from cherednik.algebra import CherednikParameter, \
     generic_ggor, ggor_from_values, restrict_to_hyperplane
 from cherednik.groups import data_directory, load_group, load_group_file
 from cherednik.linalg import ExactMatrix
@@ -19,7 +19,6 @@ from cherednik.modules import (
     x_tables,
 )
 from cherednik.multipoly import MultiPoly
-from cherednik.scalars import PolyRing
 
 
 def hyperplane_par(name="G4", form="k1_1-k1_2"):
@@ -56,47 +55,44 @@ def test_x_table_c2_single_entry():
     G = load_group("C2")
     tables = x_tables(G)
     s = G.reflections[0]
-    rows = tables[(0, s.element)]
+    rows = tables[s.element]
     co = G.coinvariant_algebra("V")
     mu = co.index[(1,)]
-    # one-term telescope: (y,x)_s * 1 at the constant monomial
-    assert rows[mu] == {co.index[(0,)]: s.pairing(0, 0)}
+    # one-term telescope: Q_s(x) = root / <coroot, root> at the constant
+    # monomial, and coroot * Q_s(x) = (y, x)_s
+    assert rows[mu] == {co.index[(0,)]: s.scaled_root[0]}
+    assert s.coroot[0] * rows[mu][co.index[(0,)]] == s.pairing(0, 0)
+
+
+def _group_part(G, s, i, mu):
+    """P_s(i, mu), the group part of [y_i, x^mu] at s, by the Leibniz rule
+    P_s(i, x^nu x_j) = P_s(i, x^nu) (s x_j) + (y_i, x_j)_s x^nu."""
+    imgs = G.variable_images(s.element, "V")
+    total = MultiPoly.zero(G.spec, G.n)
+    nu = [0] * G.n
+    for j in range(G.n):
+        for _ in range(mu[j]):
+            total = total * imgs[j] + MultiPoly(G.spec, G.n,
+                                                {tuple(nu): s.pairing(i, j)})
+            nu[j] += 1
+    return total
 
 
 def test_x_table_reconstruction_against_commutator():
-    # the table rows match the group part of [y_i, x^mu] reduced into the
-    # coinvariant algebra, for every reflection separately
-    G = load_group("B2")
-    ring = PolyRing(G.spec, ["c1", "c2"])
-    par = CherednikParameter(G, ring, 0,
-                             [ring.var("c1"), ring.var("c2")])
-    A = CherednikAlgebra(G, par)
-    co = G.coinvariant_algebra("V")
-    tables = x_tables(G)
-    rng = random.Random(3)
-    for _ in range(20):
-        i = rng.randrange(2)
-        mu_idx = rng.randrange(co.dim)
-        mu = co.monomials[mu_idx]
-        comm = A.commutator_group_part(i, mu)
+    # P_s(i, mu) = coroot_s[i] Q_s(mu): the per-reflection table row, scaled
+    # by the coroot, is the group part of [y_i, x^mu] reduced into the
+    # coinvariant algebra, for every i, s and mu
+    for name in ("B2", "G4"):
+        G = load_group(name)
+        co = G.coinvariant_algebra("V")
+        tables = x_tables(G)
         for s in G.reflections:
-            row = tables[(i, s.element)].get(mu_idx, {})
-            expect = MultiPoly.zero(ring, 2)
-            for eta_idx, c in row.items():
-                eta = co.monomials[eta_idx]
-                expect = expect + MultiPoly(
-                    ring, 2, {eta: ring.embed(c) * par.c_of(s)})
-            got = comm.get(s.element, MultiPoly.zero(ring, 4))
-            # reduce the 2n-variable x-polynomial into the coinvariant basis
-            got2 = MultiPoly(ring, 2,
-                             {e[:2]: c for e, c in got.terms.items()})
-            gotnf = MultiPoly.zero(ring, 2)
-            for e, c in got2.terms.items():
-                red = co.nf(MultiPoly(G.spec, 2, {e: G.spec.one()}))
-                for ee, cc in red.terms.items():
-                    gotnf = gotnf + MultiPoly(ring, 2,
-                                              {ee: ring.embed(cc) * c})
-            assert gotnf == expect
+            for i in range(G.n):
+                for mu_idx, mu in enumerate(co.monomials):
+                    row = tables[s.element].get(mu_idx, {})
+                    scaled = {eta: s.coroot[i] * c for eta, c in row.items()
+                              if not s.coroot[i].is_zero()}
+                    assert scaled == co.nf_coeffs(_group_part(G, s, i, mu))
 
 
 def test_g4_verma_dimension_and_degrees():
