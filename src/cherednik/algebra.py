@@ -14,7 +14,7 @@ import functools
 from .groups import ReflectionGroup
 from .multipoly import MultiPoly
 from .scalars import FieldError, PolyRing, RationalFunctionField, Scalar, \
-    parse_scalar
+    coefficients, descend, is_negative, parse_scalar
 
 
 class ParameterError(Exception):
@@ -27,8 +27,8 @@ class CherednikParameter:
     __slots__ = ("group", "ring", "t", "c")
 
     def __init__(self, group: ReflectionGroup, ring, t, c_values):
-        try:
-            ring.embed(group.spec.one())
+        try:  # the group's field is a level of the ring's tower
+            descend(ring.one(), group.spec)
         except FieldError:
             raise ParameterError(f"parameters over {ring} do not contain "
                                  f"{group.spec}, the field of {group.name}"
@@ -104,37 +104,34 @@ class GGORParameter:
         return CherednikParameter(G, ring, t, values)
 
 
+def _free_indices(group: ReflectionGroup):
+    """{(orbit index, j): name k<orbit>_<j>} over the GGOR indices with
+    j != 0, the ones left free when every k_{i,0} is 0."""
+    return {(orbit.index, j): f"k{orbit.index + 1}_{j}"
+            for orbit in group.hyperplane_orbits for j in range(1, orbit.e)}
+
+
 def generic_ggor(group: ReflectionGroup, rational=False):
     """Generic GGOR-type parameter: k_{i,0} = 0 and one free variable per
     remaining index, over a polynomial ring (or its fraction field when
     there is a single variable and ``rational`` is set)."""
-    names = []
-    for orbit in group.hyperplane_orbits:
-        for j in range(1, orbit.e):
-            names.append(f"k{orbit.index + 1}_{j}")
+    free = _free_indices(group)
+    names = list(free.values())
     if rational and len(names) != 1:
         raise ParameterError("a rational generic parameter needs exactly "
                              "one free index")
-    if rational:
-        ring = RationalFunctionField(group.spec, names[0])
-        var = {names[0]: ring.var()}
-    else:
-        ring = PolyRing(group.spec, names)
-        var = {n: ring.var(n) for n in names}
-    k = {}
-    for orbit in group.hyperplane_orbits:
-        k[(orbit.index, 0)] = ring.zero()
-        for j in range(1, orbit.e):
-            k[(orbit.index, j)] = var[f"k{orbit.index + 1}_{j}"]
-    return GGORParameter(group, ring, k)
+    ring = RationalFunctionField(group.spec, names[0]) if rational \
+        else PolyRing(group.spec, names)
+    var = ring.variables()
+    return ggor_from_values(group, ring,
+                            {key: var[name] for key, name in free.items()})
 
 
 def ggor_from_values(group, ring, values):
-    """values: {(orbit index, j): scalar-like}; k_{i,0} defaults to 0."""
-    k = {}
-    for orbit in group.hyperplane_orbits:
-        for j in range(orbit.e):
-            k[(orbit.index, j)] = values.get((orbit.index, j), ring.zero())
+    """values: {(orbit index, j): scalar-like}; a missing index is 0."""
+    k = {(orbit.index, j): ring.zero()
+         for orbit in group.hyperplane_orbits for j in range(orbit.e)}
+    k.update(values)
     return GGORParameter(group, ring, k)
 
 
@@ -146,24 +143,21 @@ def restrict_to_hyperplane(group: ReflectionGroup,
     free GGOR indices; the solution line is parametrized by one fresh
     indeterminate k over the group's base field.
     """
-    names = []
-    for orbit in group.hyperplane_orbits:
-        for j in range(1, orbit.e):
-            names.append(f"k{orbit.index + 1}_{j}")
-    if len(names) != 2:
+    free = _free_indices(group)
+    if len(free) != 2:
         raise ParameterError(
             "hyperplane restriction is supported for exactly two free "
-            f"GGOR indices, this group has {len(names)}")
-    ring0 = PolyRing(group.spec, names)
-    form = parse_scalar(form_text, ring0)
-    coeffs = {}
-    for e, c in form.payload:
-        if sum(e) != 1:
-            raise ParameterError("hyperplane equation must be linear "
-                                 "homogeneous")
-        coeffs[e.index(1)] = Scalar(group.spec, c)
-    a = coeffs.get(0, group.spec.zero())
-    b = coeffs.get(1, group.spec.zero())
+            f"GGOR indices, this group has {len(free)}")
+    try:
+        form = coefficients(parse_scalar(form_text,
+                                         PolyRing(group.spec, free.values())))
+    except FieldError as exc:
+        raise ParameterError(f"cannot read the hyperplane equation "
+                             f"{form_text!r}: {exc}") from None
+    if any(sum(e) != 1 for e in form):
+        raise ParameterError("hyperplane equation must be linear "
+                             "homogeneous")
+    a, b = (form.get(e, group.spec.zero()) for e in ((1, 0), (0, 1)))
     if a.is_zero() and b.is_zero():
         raise ParameterError("zero hyperplane equation")
     ring = RationalFunctionField(group.spec, "k")
@@ -172,24 +166,9 @@ def restrict_to_hyperplane(group: ReflectionGroup,
     # flip the sign when the leading coordinate is negative
     v1 = kvar * ring.embed(-b)
     v2 = kvar * ring.embed(a)
-    lead = -b if not b.is_zero() else a
-    if _is_negative_rational(lead):
+    if is_negative(-b if not b.is_zero() else a):
         v1, v2 = -v1, -v2
-    values = {}
-    it = iter((v1, v2))
-    for orbit in group.hyperplane_orbits:
-        for j in range(1, orbit.e):
-            values[(orbit.index, j)] = next(it)
-    return ggor_from_values(group, ring, values)
-
-
-def _is_negative_rational(s: Scalar):
-    if s.spec.kind == "rationals":
-        return s.payload < 0
-    if s.spec.kind == "number-field":
-        nz = [c for c in s.payload[:-1] if c != 0]
-        return bool(nz) and all(c < 0 for c in nz)
-    return False
+    return ggor_from_values(group, ring, dict(zip(free, (v1, v2))))
 
 
 def commutator_telescope(group: ReflectionGroup, s, mu) -> MultiPoly:
@@ -715,20 +694,13 @@ def poisson_bracket(a: PBWElement, b: PBWElement) -> PBWElement:
     for g, p in comm.parts.items():
         terms = {}
         for e, c in p.terms.items():
-            order0 = _eps_coefficient(c, 0, ring)
-            if not order0.is_zero():
+            orders = coefficients(c)
+            if (0,) in orders:
                 raise ParameterError("commutator has a constant term; "
                                      "operands were not central")
-            c1 = _eps_coefficient(c, 1, ring)
-            if not c1.is_zero():
-                terms[e] = c1
+            if (1,) in orders:
+                terms[e] = orders[(1,)]
         if terms:
             parts[g] = MultiPoly(ring, A.nvars, terms)
     return PBWElement(A, parts)
 
-
-def _eps_coefficient(c: Scalar, k: int, ring) -> Scalar:
-    for e, payload in c.payload:
-        if e[0] == k:
-            return Scalar(ring, payload)
-    return ring.zero()

@@ -23,8 +23,13 @@ to F_p, take its radical there, record only the radical's
 field-independent shape (pivot skeleton plus the equality pattern of the
 non-pivot entries), and re-find a submodule with that shape over the
 original field by solving the linear strata of the invariance equations of
-the y's.  Only this F_p oracle imports numpy and ``meataxe``, inside the
-functions that use them, so ``gordon`` runs where numpy is not installed."""
+the y's.  Its F_p side is ``meataxe``'s, the one module that imports
+numpy: ``specialize_module`` hands it plain lists of ints and
+``abstract_structure`` reads an F_p radical through ``meataxe.columns``,
+each importing ``meataxe`` inside the call.  The rest of the lift (the
+draw of a point and a prime, the shape of an exact matrix, the search for
+a submodule with that shape) needs neither, and runs where numpy is not
+installed, as ``gordon`` does."""
 
 from __future__ import annotations
 
@@ -36,8 +41,8 @@ from .linalg import ExactMatrix
 from .modules import GradedModule, dual_character, graded_spin, \
     is_invariant_subspace, quotient_module, verma_character, verma_module
 from .restricted import bad_primes, is_potentially_integral
-from .scalars import FieldError, Scalar, minpoly_roots_mod_p, \
-    reduce_mod_prime
+from .scalars import FieldError, Scalar, _prime_factors, evaluate, \
+    minpoly_roots_mod_p, parameter_names, reduce_mod_prime
 
 
 class LiftFailure(Exception):
@@ -71,78 +76,23 @@ class FiniteFieldSpec:
         return f"(p={self.p}, root={self.root}, u=[{us}])"
 
 
-def evaluate_scalar(s: Scalar, point) -> Scalar:
-    """Evaluate away the free parameters, landing in the base field."""
-    spec = s.spec
-    if spec.kind in ("rationals", "number-field", "prime-field"):
-        return s
-    if spec.kind == "poly-ring":
-        base = spec.base
-        total = None
-        for e, payload in s.payload:
-            term = evaluate_scalar(Scalar(base, payload), point)
-            for name, k in zip(spec.names, e):
-                if k:
-                    v = point[name]
-                    for _ in range(k):
-                        term = term * v
-            total = term if total is None else total + term
-        if total is None:
-            base2 = base
-            while base2.kind not in ("rationals", "number-field"):
-                base2 = base2.base
-            return base2.zero()
-        return total
-    if spec.kind == "rational-function-field":
-        base = spec.base
-        x = point[spec.name]
-        num, den = s.payload
-
-        def horner(coeffs):
-            acc = base.zero()
-            for c in reversed(coeffs):
-                acc = acc * x + Scalar(base, c)
-            return acc
-
-        dv = horner(den)
-        if dv.is_zero():
-            raise SpecializationError(
-                "denominator vanishes at the parameter point")
-        return horner(num) / dv
-    raise FieldError(f"cannot evaluate a {spec.kind} scalar")
-
-
 def scalar_to_fp(s: Scalar, ff: FiniteFieldSpec) -> int:
-    v = evaluate_scalar(s, ff.u)
     try:
-        return reduce_mod_prime(v, ff.p, ff.root).payload
+        return reduce_mod_prime(evaluate(s, ff.u), ff.p, ff.root).payload
     except FieldError as exc:
         raise SpecializationError(str(exc))
 
 
 def specialize_module(module: GradedModule, ff: FiniteFieldSpec) -> FpModule:
-    import numpy as np
-
     from .meataxe import FpModule
 
     mats = []
     for m in module.mats:
-        a = np.zeros((module.dim, module.dim), dtype=np.int64)
+        a = [[0] * module.dim for _ in range(module.dim)]
         for (i, j), v in m.entries.items():
-            a[i, j] = scalar_to_fp(v, ff)
+            a[i][j] = scalar_to_fp(v, ff)
         mats.append(a)
     return FpModule(ff.p, mats, module.degrees, module.gen_degrees)
-
-
-def _primes_in(lo, hi):
-    import numpy as np
-
-    sieve = np.ones(max(hi + 1, 3), dtype=bool)
-    sieve[:2] = False
-    for i in range(2, int(hi ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = False
-    return [int(p) for p in np.nonzero(sieve)[0] if lo < p < hi]
 
 
 def draw_specialization(group: ReflectionGroup, par: CherednikParameter,
@@ -153,26 +103,23 @@ def draw_specialization(group: ReflectionGroup, par: CherednikParameter,
     specialization of another parameter)."""
     bad = bad_primes(group)
     K = group.spec
-    candidates = []
-    for p in _primes_in(max(dim, 3), 10 * max(dim, 3) + 20):
-        if p in bad:
-            continue
-        if K.kind == "number-field" and not minpoly_roots_mod_p(K, p):
-            continue
-        candidates.append(p)
+    number_field = K.kind == "number-field"
+    lo = max(dim, 3)
+    candidates = [p for p in range(lo + 1, 10 * lo + 20)
+                  if _prime_factors(p) == [p] and p not in bad
+                  and (not number_field or minpoly_roots_mod_p(K, p))]
     if not candidates:
         raise LiftFailure("no admissible primes in the window")
-    free = _free_parameter_names(par.ring)
+    free = parameter_names(par.ring)
     for _ in range(40):
         p = rng.choice(candidates)
         root = 0
-        if K.kind == "number-field":
+        if number_field:
             root = rng.choice(minpoly_roots_mod_p(K, p))
         u = {name: K.scalar(rng.randint(1, 40)) for name in free}
         try:
-            evaluated = par.map_values(
-                K, lambda s: evaluate_scalar(s, u))
-        except SpecializationError:
+            evaluated = par.map_values(K, lambda s: evaluate(s, u))
+        except FieldError:
             continue
         if not is_potentially_integral(group, evaluated, p):
             continue
@@ -181,18 +128,6 @@ def draw_specialization(group: ReflectionGroup, par: CherednikParameter,
             continue
         return FiniteFieldSpec(p, root, u)
     raise LiftFailure("could not draw an admissible specialization")
-
-
-def _free_parameter_names(ring):
-    names = []
-    spec = ring
-    while spec is not None:
-        if spec.kind == "poly-ring":
-            names.extend(spec.names)
-        elif spec.kind == "rational-function-field":
-            names.append(spec.name)
-        spec = spec.base
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -227,70 +162,27 @@ class AbstractStructure:
         return sorted(set(rows))
 
 
-def _structure_from_columns(nrows, ncols, pivots, value_at):
-    """value_at(i, j) -> hashable nonzero marker for fine positions."""
-    fine = {}
-    labels = {}
-    for j in range(ncols):
-        for i in range(nrows):
-            if i == pivots[j]:
-                continue
-            v = value_at(i, j)
-            if v is None:
-                continue
-            if v not in labels:
-                labels[v] = len(labels) + 1
-            fine[(i, j)] = labels[v]
-    return AbstractStructure(nrows, ncols, pivots, fine)
-
-
 def abstract_structure(matrix) -> AbstractStructure:
-    """From an ExactMatrix or numpy array in reduced column echelon form."""
+    """From an ExactMatrix, or an F_p array as ``meataxe`` returns one, in
+    reduced column echelon form."""
     if isinstance(matrix, ExactMatrix):
-        cols = matrix.columns()
-        pivots = []
-        for j, col in enumerate(cols):
-            if not col:
-                raise FieldError("zero column in an echelon matrix")
-            p = min(col)
-            if not col[p] == 1:
-                raise FieldError("pivot entry is not 1")
-            pivots.append(p)
-        pivset = set(pivots)
-        for j, col in enumerate(cols):
-            for i in col:
-                if i in pivset and i != pivots[j]:
-                    raise FieldError("matrix is not in reduced column "
-                                     "echelon form")
+        nrows, cols = matrix.nrows, matrix.columns()
+    else:
+        from .meataxe import columns
 
-        def value_at(i, j):
-            v = cols[j].get(i)
-            return None if v is None or v.is_zero() else v
-
-        return _structure_from_columns(matrix.nrows, matrix.ncols, pivots,
-                                       value_at)
-    import numpy as np
-
-    a = np.asarray(matrix)
-    nrows, ncols = a.shape
-    pivots = []
-    for j in range(ncols):
-        nz = np.nonzero(a[:, j])[0]
-        if nz.size == 0 or a[int(nz[0]), j] != 1:
-            raise FieldError("matrix is not in reduced column echelon form")
-        pivots.append(int(nz[0]))
+        nrows, cols = len(matrix), columns(matrix)
+    pivots = [min(col, default=None) for col in cols]
     pivset = set(pivots)
-    for j in range(ncols):
-        for i in np.nonzero(a[:, j])[0]:
-            if int(i) in pivset and int(i) != pivots[j]:
-                raise FieldError("matrix is not in reduced column echelon "
-                                 "form")
-
-    def value_at(i, j):
-        v = int(a[i, j])
-        return v if v else None
-
-    return _structure_from_columns(nrows, ncols, pivots, value_at)
+    if any(p is None or col[p] != 1 for p, col in zip(pivots, cols)) \
+            or any(i in pivset and i != p
+                   for p, col in zip(pivots, cols) for i in col):
+        raise FieldError("matrix is not in reduced column echelon form")
+    fine, labels = {}, {}
+    for j, (p, col) in enumerate(zip(pivots, cols)):
+        for i in sorted(col):
+            if i != p and col[i]:
+                fine[(i, j)] = labels.setdefault(col[i], len(labels) + 1)
+    return AbstractStructure(nrows, len(cols), pivots, fine)
 
 
 # ---------------------------------------------------------------------------

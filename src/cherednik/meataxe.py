@@ -60,6 +60,13 @@ class FpModule:
 # ---------------------------------------------------------------------------
 # linear algebra mod p
 
+def columns(a):
+    """The columns of an F_p array as {row: value} dicts of its nonzero
+    entries, the layout of ``ExactMatrix.columns``."""
+    return [{int(i): int(a[i, j]) for i in np.nonzero(a[:, j])[0]}
+            for j in range(a.shape[1])]
+
+
 def rref_mod(a, p):
     a = np.array(a, dtype=np.int64) % p
     rows, cols = a.shape

@@ -8,7 +8,7 @@ import functools
 from .algebra import CherednikAlgebra, CherednikParameter, PBWElement
 from .groups import ReflectionGroup
 from .multipoly import MultiPoly
-from .scalars import FieldError, _prime_factors, denominator_of
+from .scalars import FieldError, _prime_factors, denominator_of, descend
 
 
 class RestrictedAlgebra:
@@ -93,16 +93,12 @@ def is_potentially_integral(group: ReflectionGroup, par: CherednikParameter,
                             p: int) -> bool:
     """Whether every c(s) * (y_j, x_i)_s is free of p in its denominator.
 
-    The parameter must already be evaluated (values in the group's base
-    number field or the rationals)."""
+    The parameter must already be evaluated: a value that is not a
+    constant of the group's field raises FieldError."""
     for s in group.reflections:
-        cs = par.c_of(s)
-        if cs.spec.kind not in ("rationals", "number-field"):
-            raise FieldError("potential integrality needs an evaluated "
-                             "parameter point")
+        cs = descend(par.c_of(s), group.spec)
         for i in range(group.n):
             for j in range(group.n):
-                v = cs * cs.spec.embed(s.pairing(i, j))
-                if denominator_of(v) % p == 0:
+                if denominator_of(cs * s.pairing(i, j)) % p == 0:
                     return False
     return True

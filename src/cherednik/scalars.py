@@ -26,6 +26,15 @@ fraction-free (Bareiss) determinants.  One dense univariate kernel
 it over Q or Q(z), the irreducibility test and the MeatAxe oracle over
 ``PrimeField(p)``.
 Every printed sum of terms goes through ``format_terms``.
+
+Outside this module a payload is only handed to a spec's ``payload_*``
+methods or to the ``_poly_*`` kernel.  The operations that read a
+payload's layout or a spec's kind are all here: ``reduce_mod_prime`` and
+``minpoly_roots_mod_p`` (to F_p), ``denominator_of`` and ``as_integer``
+(integrality), ``descend`` (a constant down to a lower level),
+``evaluate`` and ``parameter_names`` (a tower's free parameters set to a
+point), ``coefficients`` (a polynomial's terms), ``is_negative`` (a sign)
+and ``parse_scalar`` (the text syntax).
 """
 
 from __future__ import annotations
@@ -971,6 +980,67 @@ def descend(s: Scalar, spec: FieldSpec) -> Scalar:
             raise FieldError(f"{s!r} is not a constant of {spec}")
         s = Scalar(base, p)
     return s
+
+
+def evaluate(s: Scalar, point) -> Scalar:
+    """The value of s with every free parameter set by ``point`` (name ->
+    scalar of the tower's Q, number field or F_p), landing there; raises
+    FieldError when a denominator vanishes at the point."""
+    spec = ground = s.spec
+    while ground.kind in ("poly-ring", "rational-function-field"):
+        ground = ground.base
+    if spec.kind == "poly-ring":
+        total = ground.zero()
+        for e, c in s.payload:
+            term = evaluate(Scalar(spec.base, c), point)
+            for name, k in zip(spec.names, e):
+                term = term * point[name] ** k
+            total = total + term
+        return total
+    if spec.kind == "rational-function-field":
+        x = point[spec.name]
+
+        def horner(coeffs):
+            acc = ground.zero()
+            for c in reversed(coeffs):
+                acc = acc * x + evaluate(Scalar(spec.base, c), point)
+            return acc
+
+        num, den = map(horner, s.payload)
+        if den.is_zero():
+            raise FieldError("denominator vanishes at the parameter point")
+        return num / den
+    return s
+
+
+def parameter_names(spec: FieldSpec):
+    """The free parameters of a tower, from the top level down: the
+    variables of its polynomial rings and function fields."""
+    names = []
+    while spec is not None:
+        if spec.kind == "poly-ring":
+            names.extend(spec.names)
+        elif spec.kind == "rational-function-field":
+            names.append(spec.name)
+        spec = spec.base
+    return names
+
+
+def coefficients(s: Scalar):
+    """{exponent tuple: coefficient in the base} of a polynomial-ring
+    scalar."""
+    return {e: Scalar(s.spec.base, c) for e, c in s.payload}
+
+
+def is_negative(s: Scalar) -> bool:
+    """Whether s is a rational or number-field scalar whose nonzero
+    coordinates are all negative (and s is nonzero)."""
+    if s.spec.kind == "rationals":
+        return s.payload < 0
+    if s.spec.kind == "number-field":
+        nz = [c for c in s.payload[:-1] if c != 0]
+        return bool(nz) and all(c < 0 for c in nz)
+    return False
 
 
 # ---------------------------------------------------------------------------

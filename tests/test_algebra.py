@@ -82,6 +82,20 @@ def test_hyperplane_restriction():
     assert k2.k[(0, 2)] == k2.ring.var()
 
 
+@pytest.mark.parametrize("form", ["k1_1-", "k1_3", "k1_1/0"])
+def test_unreadable_hyperplane_equation_is_a_parameter_error(form):
+    # a truncated form, an index G4 does not have, a division by zero
+    with pytest.raises(ParameterError, match=form):
+        restrict_to_hyperplane(load_group("G4"), form)
+
+
+def test_ggor_values_outside_the_orbit_data_are_rejected():
+    # B2's orbits are 0 and 1; a value at (5, 1) would be dropped unseen
+    G = load_group("B2")
+    with pytest.raises(ParameterError, match="stray"):
+        ggor_from_values(G, G.spec, {(5, 1): 1})
+
+
 def test_product_xs_commute():
     A = make_algebra("B2", t=0)
     x1, x2 = A.x(0), A.x(1)

@@ -19,7 +19,6 @@ from cherednik.lift import (
     decompose_family,
     draw_specialization,
     dual_spin,
-    evaluate_scalar,
     find_submodule,
     gordon,
     head_and_radical,
@@ -31,7 +30,8 @@ from cherednik.linalg import ExactMatrix
 from cherednik.meataxe import chop, is_isomorphic, radical
 from cherednik.modules import GradedModule, dual_character, \
     graded_character, graded_spin, verma_character, verma_module
-from cherednik.scalars import QQ, RationalFunctionField, reduce_mod_prime
+from cherednik.scalars import QQ, PrimeField, RationalFunctionField, \
+    evaluate, reduce_mod_prime
 
 DATA = Path(__file__).parent / "data"
 
@@ -84,7 +84,7 @@ def test_specialize_scalar_paths():
     z = F.embed(K.gen())
     kv = F.var()
     s = (z * kv + 3) / (kv + 1)
-    val = evaluate_scalar(s, {"k": K.scalar(2)})
+    val = evaluate(s, {"k": K.scalar(2)})
     assert val == (K.gen() * 2 + 3) / 3
 
 
@@ -281,6 +281,15 @@ def test_parameter_ring_must_contain_the_group_field():
         CherednikParameter(G, QQ, 0, [1, 2])
 
 
+@pytest.mark.parametrize("p", [2, 7])
+def test_prime_field_parameters_are_rejected_for_a_group_over_q(p):
+    # Q's integers map into F_p, but F_p does not contain Q: a parameter
+    # over it used to pass here and fail inside the decomposition
+    G = load_group("S3")
+    with pytest.raises(ParameterError, match="do not contain"):
+        CherednikParameter(G, PrimeField(p), 0, [1])
+
+
 @pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
                                   "B2_hyp", "G4_k13", "G4_hyp"])
 def test_full_gordon_record_is_pinned(case):
@@ -329,6 +338,30 @@ def test_gordon_runs_without_numpy():
         gordon(G4, par, families=(4,)).to_text()]
 
 
+LIFT_WITHOUT_NUMPY = """
+import random, sys
+sys.modules["numpy"] = None     # any import of numpy now fails
+from cherednik import algebra, groups, lift, modules
+G = groups.load_group("B2")
+par = algebra.restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
+V = modules.verma_module(G, par, G.irreps[2])
+ff = lift.draw_specialization(G, par, V.dim, random.Random(0))
+rad = lift.head_and_radical(V).radical_basis
+found = lift.find_submodule(V, lift.abstract_structure(rad))
+assert "cherednik.meataxe" not in sys.modules
+assert rad.ncols == 7 and found == rad, (ff, rad.ncols)
+"""
+
+
+def test_lift_round_trip_runs_without_numpy():
+    # the draw, the shape of the exact radical of a Verma module with a
+    # radical (dim 8, head of dim 1 on B2's equal-parameter hyperplane)
+    # and the search that lifts the shape back need no numpy
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", LIFT_WITHOUT_NUMPY], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def test_find_submodule_fails_where_the_radical_collides_mod_p():
     # the radical of the Verma module of irrep 7 at k = (1,3) has 20 distinct
     # values; mod 157 two of them coincide, so its shape there has no lift,
@@ -367,7 +400,7 @@ def test_draws_keep_every_nonzero_parameter_value_nonzero_mod_p():
         ff = draw_specialization(G, par, 8, random.Random(seed))
         for v in par.c:
             if not v.is_zero():
-                value = evaluate_scalar(v, ff.u)
+                value = evaluate(v, ff.u)
                 assert not reduce_mod_prime(value, ff.p, ff.root).is_zero()
 
 
