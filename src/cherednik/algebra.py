@@ -21,6 +21,16 @@ class ParameterError(Exception):
     pass
 
 
+def _coerce(ring, value, what):
+    """value (an int, a Fraction or a scalar of a level of ring's tower) as
+    a scalar of ring; any other value raises ParameterError naming it."""
+    try:
+        return ring.scalar(value)
+    except FieldError as exc:
+        raise ParameterError(f"{what} {value!r} is not a scalar of {ring}: "
+                             f"{exc}") from None
+
+
 class CherednikParameter:
     """t in R plus one value of c per conjugacy class of reflections."""
 
@@ -35,13 +45,13 @@ class CherednikParameter:
                                  ) from None
         self.group = group
         self.ring = ring
-        self.t = ring.embed(t) if isinstance(t, Scalar) else ring.scalar(t)
+        self.t = _coerce(ring, t, "t")
         if len(c_values) != group.num_reflection_classes:
             raise ParameterError(
                 f"expected {group.num_reflection_classes} class values, "
                 f"got {len(c_values)}")
-        self.c = [ring.embed(v) if isinstance(v, Scalar) else ring.scalar(v)
-                  for v in c_values]
+        self.c = [_coerce(ring, v, f"c{j + 1}")
+                  for j, v in enumerate(c_values)]
 
     def c_of(self, reflection):
         return self.c[reflection.refl_class]
@@ -69,9 +79,7 @@ class GGORParameter:
                 key = (orbit.index, j)
                 if key not in k:
                     raise ParameterError(f"missing k value for {key}")
-                v = k[key]
-                self.k[key] = ring.embed(v) if isinstance(v, Scalar) \
-                    else ring.scalar(v)
+                self.k[key] = _coerce(ring, k[key], f"k{key}")
         if len(k) != len(self.k):
             raise ParameterError("stray k indices outside the orbit data")
 

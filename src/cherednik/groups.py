@@ -558,9 +558,10 @@ class ReflectionGroup:
 
     @functools.cache
     def _class_weights(self):
-        """Per irrep, |C| chi(C^{-1}) on each conjugacy class C."""
-        return [tuple(len(cls) * chi[self.class_of[self.inverse[cls[0]]]]
-                      for cls in self.conj_classes)
+        """Per irrep, the payloads of |C| chi(C^{-1}) on each conjugacy
+        class C."""
+        return [tuple((len(cls) * chi[self.class_of[self.inverse[cls[0]]]])
+                      .payload for cls in self.conj_classes)
                 for chi in (rho.character() for rho in self.irreps)]
 
     def multiplicities(self, class_values):
@@ -568,18 +569,25 @@ class ReflectionGroup:
         into irreducibles: one row {degree: multiplicity} per irrep, in
         label order, by (1/|G|) sum_C |C| f(C) chi(C^{-1}).  Each value is
         brought down to the group's field first (``descend``), so a trace
-        over a parameter ring must be one of its constants."""
-        values = {d: [descend(v, self.spec) for v in row]
-                  for d, row in class_values.items()}
+        over a parameter ring must be one of its constants; the sums run on
+        the field's payloads against the cached ``_class_weights``, and a
+        sum that is not |G| times an integer raises FieldError
+        (``as_integer``)."""
+        spec = self.spec
+        mul, add = spec.payload_mul, spec.payload_add
+        values = {}
+        for d, row in class_values.items():
+            payloads = [descend(v, spec).payload for v in row]
+            values[d] = [(k, v) for k, v in enumerate(payloads)
+                         if not spec.payload_is_zero(v)]
         out = []
         for weights in self._class_weights():
             row = {}
             for d, vals in values.items():
-                s = self.spec.zero()
-                for v, w in zip(vals, weights):
-                    if not v.is_zero():
-                        s = s + v * w
-                m = as_integer(s, self.order)
+                s = spec.payload_zero()
+                for k, v in vals:
+                    s = add(s, mul(v, weights[k]))
+                m = as_integer(Scalar(spec, s), self.order)
                 if m:
                     row[d] = m
             out.append(row)

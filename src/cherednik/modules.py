@@ -27,9 +27,13 @@ Graded characters come from class traces per degree, which
 ``ReflectionGroup.multiplicities`` decomposes into irreducibles over the
 group's field.  ``verma_character`` takes the traces in closed form from
 the coinvariants; ``dual_character`` reads them off a dual spin of a Verma
-module with one pivot entry per basis vector and class;
-``graded_character`` multiplies out degree blocks of any module's
-g-matrices and serves the tests as the oracle of both."""
+module with one pivot entry per basis vector and class: the identity's
+trace in degree d is the number of pivots of degree d, and the other
+classes' representatives have their Verma columns built once and kept by
+``functools.cache`` on ``_class_columns``, keyed by (group, irrep, ring),
+as payloads of the ring the traces are summed in.  ``graded_character``
+multiplies out degree blocks of any module's g-matrices and serves the
+tests as the oracle of both; it reads no cached column."""
 
 from __future__ import annotations
 
@@ -135,10 +139,9 @@ def _add_entry(entries, key, add):
         entries[key] = cur
 
 
-def _element_column(group: ReflectionGroup, rho: Irrep, g, col, rows=None):
+def _element_column(group: ReflectionGroup, rho: Irrep, g, col):
     """Column ``col`` = mu*d + k of group element g's matrix on rho's Verma
-    module, as {row: scalar over the group's field}, only at ``rows`` when
-    given: the twisted action
+    module, as {row: scalar over the group's field}: the twisted action
     g(x^mu (x) w_k) = sum_{eta,t} (g.x^mu)[eta] rho(g)[t][k] x^eta (x) w_t
     on coinvariants tensor rho (d = dim rho)."""
     co = group.coinvariant_algebra("V")
@@ -148,9 +151,8 @@ def _element_column(group: ReflectionGroup, rho: Irrep, g, col, rows=None):
     out = {}
     for eta_idx, coeff in co.act(g, co.monomials[mu_idx]).items():
         for t in range(d):
-            i = eta_idx * d + t
-            if (rows is None or i in rows) and not m[t][k].is_zero():
-                out[i] = coeff * m[t][k]
+            if not m[t][k].is_zero():
+                out[eta_idx * d + t] = coeff * m[t][k]
     return out
 
 
@@ -395,6 +397,25 @@ def _verma_character_rows(group: ReflectionGroup, rho: Irrep):
         for dgr, traces in enumerate(group.graded_coinvariant_characters())})
 
 
+@functools.cache
+def _class_columns(group: ReflectionGroup, rho: Irrep, ring):
+    """Per column p of rho's Verma module, the pairs (class index, column p
+    of the class representative's matrix as {row: payload of ``ring``})
+    over the non-identity conjugacy classes with a nonzero column.  Built
+    once per (group, irrep, ring) from ``_element_column``."""
+    dim = len(_verma_pencil(group, rho)[0])
+    out = [[] for _ in range(dim)]
+    for ci, cls in enumerate(group.conj_classes):
+        if cls[0] == group.identity:
+            continue
+        for p in range(dim):
+            col = _element_column(group, rho, cls[0], p)
+            if col:
+                out[p].append((ci, {i: ring.embed(v).payload
+                                    for i, v in col.items()}))
+    return out
+
+
 def dual_character(group: ReflectionGroup, rho: Irrep, dual: ExactMatrix):
     """Poincare series {degree: dim} and graded_character's rows of the
     quotient L = Delta/R of rho's Verma module Delta, read off the canonical
@@ -406,22 +427,35 @@ def dual_character(group: ReflectionGroup, rho: Irrep, dual: ExactMatrix):
     pivot p (its topmost support) and 0 at every other pivot, so the
     coordinate of g^T s_p on s_p is its entry at p: tr(g | L_d) is the sum,
     over the pivots p of degree d, of sum_i G[i, p] s_p[i], with G the matrix
-    of the class representative g on Delta (``_element_column``)."""
+    of the class representative g on Delta.  The identity's trace is the
+    number of pivots of degree d; the other classes' columns come from
+    ``_class_columns`` (cached per (group, irrep, ring)), and the sums run
+    on the ring's payloads."""
     degrees = _verma_pencil(group, rho)[0]
     ring = dual.spec
-    reps = [cls[0] for cls in group.conj_classes]
+    mul, add = ring.payload_mul, ring.payload_add
+    columns = _class_columns(group, rho, ring)
     pseries = {}
     class_traces = {}
     for s in dual.columns():
         p = min(s)
-        pseries[degrees[p]] = pseries.get(degrees[p], 0) + 1
-        traces = class_traces.setdefault(degrees[p],
-                                         [ring.zero()] * len(reps))
-        for ci, g in enumerate(reps):
-            for i, v in _element_column(group, rho, g, p, s).items():
-                traces[ci] = traces[ci] + ring.embed(v) * s[i]
+        dgr = degrees[p]
+        pseries[dgr] = pseries.get(dgr, 0) + 1
+        traces = class_traces.setdefault(
+            dgr, [ring.payload_zero()] * len(group.conj_classes))
+        for ci, col in columns[p]:
+            acc = traces[ci]
+            for i, v in col.items():
+                if i in s:
+                    acc = add(acc, mul(v, s[i].payload))
+            traces[ci] = acc
+    identity = group.class_of[group.identity]
+    for dgr, traces in class_traces.items():
+        traces[identity] = ring.scalar(pseries[dgr]).payload
     return (dict(sorted(pseries.items())),
-            group.multiplicities(dict(sorted(class_traces.items()))))
+            group.multiplicities({dgr: [Scalar(ring, t) for t in traces]
+                                  for dgr, traces
+                                  in sorted(class_traces.items())}))
 
 
 # ---------------------------------------------------------------------------

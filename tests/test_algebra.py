@@ -96,6 +96,25 @@ def test_ggor_values_outside_the_orbit_data_are_rejected():
         ggor_from_values(G, G.spec, {(5, 1): 1})
 
 
+def test_c_value_outside_the_ring_is_a_parameter_error():
+    # z3 lives in G4's field, not in S3's Q
+    S3, G4 = load_group("S3"), load_group("G4")
+    with pytest.raises(ParameterError, match="z3"):
+        CherednikParameter(S3, S3.spec, 0, [G4.spec.gen()])
+
+
+def test_float_ggor_value_is_a_parameter_error():
+    G = load_group("G4")
+    with pytest.raises(ParameterError, match="0.5"):
+        ggor_from_values(G, G.spec, {(0, 1): 0.5})
+
+
+def test_float_t_is_a_parameter_error():
+    G = load_group("S3")
+    with pytest.raises(ParameterError, match="0.5"):
+        CherednikParameter(G, G.spec, 0.5, [1])
+
+
 def test_product_xs_commute():
     A = make_algebra("B2", t=0)
     x1, x2 = A.x(0), A.x(1)

@@ -10,7 +10,7 @@ from cherednik import groups
 from cherednik.groups import (GroupDataError, cartan_pairing, data_directory,
                               load_group, mat_mul)
 from cherednik.multipoly import MultiPoly
-from cherednik.scalars import QQ
+from cherednik.scalars import QQ, FieldError
 
 
 def test_c2_single_reflection():
@@ -155,6 +155,16 @@ def test_character_table_sanity():
     for name in ("S3", "B2", "G4"):
         G = load_group(name)
         assert sum(rho.dim ** 2 for rho in G.irreps) == G.order
+
+
+def test_multiplicities_of_a_non_character_raise():
+    # the identity indicator pairs with chi to chi(1)/6, not an integer
+    G = load_group("S3")
+    values = [G.spec.one() if cls[0] == G.identity else G.spec.zero()
+              for cls in G.conj_classes]
+    assert values == [1, 0, 0]
+    with pytest.raises(FieldError, match="not an integer"):
+        G.multiplicities({0: values})
 
 
 G4_LABELS = ["phi_{1,0}", "phi_{1,4}", "phi_{1,8}", "phi_{2,5}",

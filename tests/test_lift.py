@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from cherednik import modules
 from cherednik.algebra import CherednikParameter, ParameterError, \
     euler_families, generic_ggor, ggor_from_values, restrict_to_hyperplane
-from cherednik.groups import load_group
+from cherednik.groups import data_directory, load_group, load_group_file
 from cherednik.lift import (
     NO_SUBMODULE,
     NOT_LINEARLY_SOLVABLE,
@@ -408,7 +409,7 @@ def oracle_cases():
     """id -> (group, parameter, families) for the cross-checks against the
     paper's lift, the MeatAxe and the quotient heads; families None means
     every Euler family."""
-    S3, B2 = load_group("S3"), load_group("B2")
+    S3, B2, G4 = load_group("S3"), load_group("B2"), load_group("G4")
     return {
         "S3_c1": (S3, CherednikParameter(S3, QQ, 0, [1]), None),
         "S3_c0": (S3, CherednikParameter(S3, QQ, 0, [0]), None),
@@ -417,6 +418,8 @@ def oracle_cases():
         "B2_hyp": (B2, restrict_to_hyperplane(B2, "k1_1-k2_1").to_cherednik(),
                    [(3, 4, 5)]),
         "G4_k13": (*g4_k13(), [(4,), (7,)]),
+        "G4_hyp": (G4, restrict_to_hyperplane(G4, "k1_1-2*k1_2")
+                   .to_cherednik(), [(2, 5, 7)]),
     }
 
 
@@ -469,7 +472,7 @@ def test_peeled_rows_match_meataxe_oracle(case):
 
 
 @pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
-                                  "B2_hyp", "G4_k13"])
+                                  "B2_hyp", "G4_k13", "G4_hyp"])
 def test_dual_spin_character_matches_the_quotient_head(case):
     # the trace formula on the dual spin against the head formed as the
     # quotient module by the exact radical, with its traces taken from
@@ -482,6 +485,28 @@ def test_dual_spin_character_matches_the_quotient_head(case):
         assert character == graded_character(G, head)
         assert pseries == head.poincare_series()
         assert sum(pseries.values()) == head.dim
+
+
+def test_dual_character_builds_class_columns_once(monkeypatch):
+    # a freshly loaded group has no cached columns: the first call builds
+    # them from _element_column, a second call on the same irrep reads them
+    G = load_group_file(os.path.join(data_directory(), "B2.grp"))
+    par = CherednikParameter(G, G.spec, 0, [1, 2])
+    rho = G.irreps[4]
+    dual = dual_spin(verma_module(G, par, rho))
+    calls = []
+    element_column = modules._element_column
+
+    def counted(*args):
+        calls.append(args)
+        return element_column(*args)
+
+    monkeypatch.setattr(modules, "_element_column", counted)
+    first = dual_character(G, rho, dual)
+    assert calls
+    calls.clear()
+    assert dual_character(G, rho, dual) == first
+    assert not calls
 
 
 @pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
