@@ -292,6 +292,8 @@ class ReflectionGroup:
                 parent, gi = self.parent_edge[b]
                 row.append(right[row[parent]][gi])
             self.mult.append(row)
+        if any(0 not in row for row in self.mult):
+            raise GroupDataError("a generator matrix is not invertible")
         self.inverse = [row.index(0) for row in self.mult]
 
     def _conjugacy_classes(self):
@@ -680,8 +682,10 @@ def _parse_field_line(parts):
     if parts[0] == "cyclotomic":
         n = _positive_int(parts[1] if len(parts) > 1 else "",
                           "the cyclotomic order")
-        name = parts[2] if len(parts) > 2 else None
-        return cyclotomic_field(n, name)
+        try:
+            return cyclotomic_field(n, parts[2] if len(parts) > 2 else None)
+        except FieldError as exc:
+            raise GroupDataError(f"field line: {exc}") from None
     raise GroupDataError(f"unknown field kind {parts[0]!r}")
 
 
@@ -726,7 +730,11 @@ def load_group_file(path) -> ReflectionGroup:
                 raise GroupDataError(
                     f"{what}: row {lines[pos].strip()!r} has "
                     f"{len(entries)} entries, expected {nrows}")
-            rows.append(tuple(parse_scalar(t, spec) for t in entries))
+            try:
+                rows.append(tuple(parse_scalar(t, spec) for t in entries))
+            except FieldError as exc:
+                raise GroupDataError(f"{what}: row {lines[pos].strip()!r}: "
+                                     f"{exc}") from None
             pos += 1
         return tuple(rows)
 

@@ -503,24 +503,18 @@ class FamilyDecomposition:
 
 
 def decompose_family(group: ReflectionGroup, par: CherednikParameter,
-                     members, vermas=None) -> FamilyDecomposition:
+                     members) -> FamilyDecomposition:
     """The heads' Poincare series and graded characters, and the
     decomposition matrix, of a constituent-closed family of standard
     modules (1-based irrep indices).  Each head's character is read off the
     Verma's dual spin by ``dual_character``'s trace formula; each row comes
     from peeling the Verma's graded character (closed form) against the
-    heads'; a character that does not peel raises LiftFailure.  Vermas
-    built here are added to ``vermas``."""
-    if vermas is None:
-        vermas = {}
-    for lam in members:
-        if lam not in vermas:
-            vermas[lam] = verma_module(group, par,
-                                       group.irreps[lam - 1])
+    heads'; a character that does not peel raises LiftFailure."""
     pseries, characters = {}, {}
     for lam in members:
+        rho = group.irreps[lam - 1]
         pseries[lam], characters[lam] = dual_character(
-            group, group.irreps[lam - 1], dual_spin(vermas[lam]))
+            group, rho, dual_spin(verma_module(group, par, rho)))
     matrix = {}
     for lam in members:
         row = peel(verma_character(group, group.irreps[lam - 1]), characters)
@@ -540,7 +534,8 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
     ParameterError when the parameter belongs to another group, its t is
     nonzero, its ring is not a field or ``families`` is not an Euler family,
     and LiftFailure naming the families whose decomposition rows did not
-    peel."""
+    peel, or when a full record fails ``validate`` or the audit of each
+    row against dim Delta(lam) = |W| dim lam."""
     from .records import GordonRecord, family_text, poly_in_t
     from .algebra import euler_families as _euler_families
 
@@ -566,11 +561,10 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
     else:
         run_list = [m for m, _ in fams]
 
-    vermas = {}
     failures = []
     for members in run_list:
         try:
-            fam = decompose_family(group, par, members, vermas=vermas)
+            fam = decompose_family(group, par, members)
         except LiftFailure as exc:
             failures.append((members, str(exc)))
             continue
@@ -592,7 +586,8 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
                 record.verma_decomposition.setdefault((i, j), 0)
         record.cm_families = verma_families(record.verma_decomposition)
         record.validate()
-        record.verma_dim_audit({lam: vermas[lam].dim for lam in vermas})
+        record.verma_dim_audit({lam: group.order * rho.dim for lam, rho
+                                in enumerate(group.irreps, 1)})
     return record
 
 

@@ -3,20 +3,24 @@ of the restricted rational Cherednik algebra.
 
 A module stores one sparse action matrix per generator together with basis
 and generator degrees; every construction checks that nonzero entries
-connect degrees compatibly.  Verma modules are assembled from the
-coinvariant algebra on the polynomial side: multiplication for the x's, the
-twisted group action for the g's, and lowering tables for the y's.  The
-group part of [y_i, x^mu] at a reflection s is P_s(i, mu) =
-coroot_s[i] Q_s(mu), because (y_i, x_j)_s is rank one in i, so
-``x_tables`` keeps one table per reflection: row mu holds Q_s(mu)
+connect degrees compatibly.
+
+A Verma module is Delta(rho) = C[h]^coW (x) rho, so each of its operators
+is a sum of Kronecker products (coinvariant operator) (x) (matrix of rho),
+and ``_add_tensor`` is the one place that forms them.  The coinvariant
+operators are kept once per group by ``functools.cache`` on
+``_coinvariant_operator``, as payload matrices over the group's field: A_g,
+the action of g (``co.act``), X_i, multiplication by x_i (``co.multiply``),
+and Q_s, the lowering table of a reflection s.  The group part of
+[y_i, x^mu] at s is coroot_s[i] Q_s(mu), because (y_i, x_j)_s is rank one
+in i, so ``x_tables`` keeps one table per reflection: row mu holds Q_s(mu)
 (``algebra.commutator_telescope``, the Leibniz rule of a twisted
-derivation) reduced into the coinvariant algebra, and the pencil scales it
-by coroot_s[i].  The tables are independent of both the representation and
-the parameter, so they are built once per group.
+derivation) reduced into the coinvariant algebra.
 
 At t = 0 the y's act linearly in c, so a Verma module is a pencil: one
-matrix Y_i^(j) per coordinate i and reflection class j, with y_i =
-sum_j c_j Y_i^(j), and g- and x-matrices that do not depend on c at all.
+matrix Y_i^(j) = sum_{s in j} coroot_s[i] Q_s (x) rho(s) per coordinate i
+and reflection class j, with y_i = sum_j c_j Y_i^(j), g-matrices
+A_g (x) rho(g) and x-matrices X_i (x) 1 that do not depend on c at all.
 The pencil and the closed-form graded character of each irrep are built
 on first use and kept by ``functools.cache`` on ``_verma_pencil`` and
 ``_verma_character_rows``, keyed by (group, irrep); ``verma_module``
@@ -29,7 +33,7 @@ group's field.  ``verma_character`` takes the traces in closed form from
 the coinvariants; ``dual_character`` reads them off a dual spin of a Verma
 module with one pivot entry per basis vector and class: the identity's
 trace in degree d is the number of pivots of degree d, and the other
-classes' representatives have their Verma columns built once and kept by
+classes' representatives have their columns A_g (x) rho(g) kept by
 ``functools.cache`` on ``_class_columns``, keyed by (group, irrep, ring),
 as payloads of the ring the traces are summed in.  ``graded_character``
 multiplies out degree blocks of any module's g-matrices and serves the
@@ -103,7 +107,7 @@ class GradedModule:
 
 
 # ---------------------------------------------------------------------------
-# lowering tables
+# Verma modules: coinvariant operators (x) irrep matrices, a pencil in c
 
 @functools.cache
 def x_tables(group: ReflectionGroup):
@@ -125,8 +129,73 @@ def x_tables(group: ReflectionGroup):
     return tables
 
 
-# ---------------------------------------------------------------------------
-# Verma modules: a parameter-free pencil per irrep, evaluated at c
+@functools.cache
+def _coinvariant_operator(group: ReflectionGroup, kind, key):
+    """A linear operator on the coinvariants as {(eta, mu): payload over
+    the group's field}, the coefficient of x^eta in the image of x^mu,
+    built once per group: kind "g" is A_g for the element of index key
+    (``co.act``), "x" is X_i, multiplication by x_key (``co.multiply``),
+    and "q" is Q_s for the reflection element key (``x_tables``)."""
+    co = group.coinvariant_algebra("V")
+    if kind == "g":
+        cols = [co.act(key, mu) for mu in co.monomials]
+    elif kind == "x":
+        ei = tuple(1 if a == key else 0 for a in range(group.n))
+        cols = [co.multiply(ei, mu) for mu in co.monomials]
+    else:
+        cols = [x_tables(group)[key].get(mu, {}) for mu in range(co.dim)]
+    return {(eta, mu): v.payload for mu, col in enumerate(cols)
+            for eta, v in col.items()}
+
+
+def _add_tensor(entries, spec, op, mat):
+    """entries += op (x) mat on payloads of spec, for a coinvariant operator
+    op and a d x d matrix of scalars: entry (eta*d + t, mu*d + k) of the
+    Verma module gains op[eta, mu] * mat[t][k].  Returns entries."""
+    mul, add = spec.payload_mul, spec.payload_add
+    d = len(mat)
+    nonzero = [(t, k, v.payload) for t, row in enumerate(mat)
+               for k, v in enumerate(row) if not v.is_zero()]
+    for (eta, mu), a in op.items():
+        for t, k, b in nonzero:
+            key = (eta * d + t, mu * d + k)
+            term = mul(a, b)
+            cur = entries.get(key)
+            entries[key] = term if cur is None else add(cur, term)
+    return entries
+
+
+@functools.cache
+def _verma_pencil(group: ReflectionGroup, rho: Irrep):
+    """Everything about rho's Verma module that does not depend on c, as
+    sparse entry dicts over the group's field: (basis degrees, ys, gxs).
+    ys[i][j] is the matrix Y_i^(j) = sum over the reflections s of class j
+    of coroot_s[i] Q_s (x) rho(s), with y_i = sum_j c_j Y_i^(j); gxs holds
+    the g-matrices A_g (x) rho(g), then the x-matrices X_i (x) 1.  Built
+    once per (group, irrep)."""
+    co = group.coinvariant_algebra("V")
+    spec = group.spec
+    degrees = [dgr for dgr in co.degrees for _ in range(rho.dim)]
+    ys = [[{} for _ in range(group.num_reflection_classes)]
+          for _ in range(group.n)]
+    for s in group.reflections:
+        q = _coinvariant_operator(group, "q", s.element)
+        m = rho.matrix(s.element)
+        for i, ci in enumerate(s.coroot):
+            _add_tensor(ys[i][s.refl_class], spec, q,
+                        [[ci * v for v in row] for row in m])
+    gxs = [_add_tensor({}, spec, _coinvariant_operator(group, "g", g),
+                       rho.matrix(g))
+           for g in (group.element_index[gmat] for gmat in group.gens)]
+    gxs += [_add_tensor({}, spec, _coinvariant_operator(group, "x", i),
+                        rho.matrix(group.identity)) for i in range(group.n)]
+
+    def scalars(entries):
+        return {key: Scalar(spec, v) for key, v in entries.items()
+                if not spec.payload_is_zero(v)}
+    return (degrees, [[scalars(e) for e in row] for row in ys],
+            [scalars(e) for e in gxs])
+
 
 def _add_entry(entries, key, add):
     """entries[key] += add on a sparse entry dict; a sum that cancels is
@@ -137,90 +206,6 @@ def _add_entry(entries, key, add):
         entries.pop(key, None)
     else:
         entries[key] = cur
-
-
-def _element_column(group: ReflectionGroup, rho: Irrep, g, col):
-    """Column ``col`` = mu*d + k of group element g's matrix on rho's Verma
-    module, as {row: scalar over the group's field}: the twisted action
-    g(x^mu (x) w_k) = sum_{eta,t} (g.x^mu)[eta] rho(g)[t][k] x^eta (x) w_t
-    on coinvariants tensor rho (d = dim rho)."""
-    co = group.coinvariant_algebra("V")
-    d = rho.dim
-    mu_idx, k = divmod(col, d)
-    m = rho.matrix(g)
-    out = {}
-    for eta_idx, coeff in co.act(g, co.monomials[mu_idx]).items():
-        for t in range(d):
-            if not m[t][k].is_zero():
-                out[eta_idx * d + t] = coeff * m[t][k]
-    return out
-
-
-@functools.cache
-def _verma_pencil(group: ReflectionGroup, rho: Irrep):
-    """Everything about rho's Verma module that does not depend on c, as
-    sparse entry dicts over the group's field: (basis degrees, ys, gxs).
-    ys[i][j] is the matrix Y_i^(j) with y_i = sum_j c_j Y_i^(j) over the
-    reflection classes j; gxs holds the g-matrices, then the x-matrices.
-    Built once per (group, irrep)."""
-    co = group.coinvariant_algebra("V")
-    n = group.n
-    d = rho.dim
-    degrees = []
-    for mu_idx in range(co.dim):
-        degrees.extend([co.degrees[mu_idx]] * d)
-    tables = x_tables(group)
-
-    def nonzero(mat):
-        return [(t, k, v) for t, row in enumerate(mat)
-                for k, v in enumerate(row) if not v.is_zero()]
-
-    # lowering operators, one matrix per (coordinate, reflection class):
-    # Y_i^(j) = sum over s in class j of coroot_s[i] Q_s (x) rho(s), summed
-    # on the payloads of the group's field and wrapped as Scalars at the end
-    spec = group.spec
-    mul, add = spec.payload_mul, spec.payload_add
-    sums = [[{} for _ in range(group.num_reflection_classes)]
-            for _ in range(n)]
-    for s in group.reflections:
-        snz = nonzero(rho.matrix(s.element))
-        rows = tables[s.element]
-        for i, ci in enumerate(s.coroot):
-            if ci.is_zero():
-                continue
-            scaled = [(t, k, mul(ci.payload, v.payload)) for t, k, v in snz]
-            entries = sums[i][s.refl_class]
-            for mu_idx, row in rows.items():
-                for eta_idx, coeff in row.items():
-                    c = coeff.payload
-                    for t, k, v in scaled:
-                        key = (eta_idx * d + t, mu_idx * d + k)
-                        term = mul(c, v)
-                        cur = entries.get(key)
-                        entries[key] = term if cur is None else add(cur, term)
-    ys = [[{key: Scalar(spec, v) for key, v in entries.items()
-            if not spec.payload_is_zero(v)} for entries in row]
-          for row in sums]
-
-    # group generators: the twisted action on coinvariants tensor rho
-    gxs = []
-    for gmat in group.gens:
-        g_elem = group.element_index[gmat]
-        gxs.append({(i, col): v for col in range(len(degrees))
-                    for i, v in _element_column(group, rho, g_elem,
-                                                col).items()})
-
-    # raising operators: multiplication in the coinvariant algebra
-    for i in range(n):
-        entries = {}
-        ei = tuple(1 if a == i else 0 for a in range(n))
-        for mu_idx, mu in enumerate(co.monomials):
-            for eta_idx, coeff in co.multiply(ei, mu).items():
-                for k in range(d):
-                    entries[(eta_idx * d + k, mu_idx * d + k)] = coeff
-        gxs.append(entries)
-
-    return degrees, ys, gxs
 
 
 def verma_module(group: ReflectionGroup, par: CherednikParameter,
@@ -400,19 +385,21 @@ def _verma_character_rows(group: ReflectionGroup, rho: Irrep):
 @functools.cache
 def _class_columns(group: ReflectionGroup, rho: Irrep, ring):
     """Per column p of rho's Verma module, the pairs (class index, column p
-    of the class representative's matrix as {row: payload of ``ring``})
-    over the non-identity conjugacy classes with a nonzero column.  Built
-    once per (group, irrep, ring) from ``_element_column``."""
-    dim = len(_verma_pencil(group, rho)[0])
-    out = [[] for _ in range(dim)]
+    of the class representative's matrix A_g (x) rho(g) as {row: payload of
+    ``ring``}) over the non-identity conjugacy classes with a nonzero
+    column, in class order.  Built once per (group, irrep, ring)."""
+    spec = group.spec
+    out = [[] for _ in _verma_pencil(group, rho)[0]]
     for ci, cls in enumerate(group.conj_classes):
-        if cls[0] == group.identity:
+        g = cls[0]
+        if g == group.identity:
             continue
-        for p in range(dim):
-            col = _element_column(group, rho, cls[0], p)
-            if col:
-                out[p].append((ci, {i: ring.embed(v).payload
-                                    for i, v in col.items()}))
+        op = _coinvariant_operator(group, "g", g)
+        cols = {}
+        for (i, p), v in _add_tensor({}, spec, op, rho.matrix(g)).items():
+            cols.setdefault(p, {})[i] = ring.embed(Scalar(spec, v)).payload
+        for p, col in cols.items():
+            out[p].append((ci, col))
     return out
 
 

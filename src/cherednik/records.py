@@ -3,6 +3,7 @@ text serialization."""
 
 from __future__ import annotations
 
+from .lift import LiftFailure
 from .scalars import format_terms, monomial_text
 
 
@@ -40,7 +41,7 @@ class GordonRecord:
             if ps is not None:
                 total = _eval_poly_at_one(ps)
                 if total != self.simple_dims[i]:
-                    raise ValueError(
+                    raise LiftFailure(
                         f"Poincare series of simple {i} does not evaluate "
                         "to its dimension")
         return True
@@ -54,8 +55,8 @@ class GordonRecord:
         for i, row in rows.items():
             total = sum(m * self.simple_dims[j] for j, m in row.items())
             if total != verma_dims[i]:
-                raise ValueError(f"decomposition row {i} fails the "
-                                 "dimension audit")
+                raise LiftFailure(f"decomposition row {i} fails the "
+                                  "dimension audit")
 
     # -- serialization ----------------------------------------------------------
     def to_text(self) -> str:

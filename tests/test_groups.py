@@ -419,6 +419,18 @@ MALFORMED_GROUP_FILES = {
         "group X\nfield rationals\ndim 1\ngenerator\n -1\n"
         "irrep a\nmatrix 1\n -1\nirrep b\nmatrix 1\n -1\n",
         "shipped irreps fail character orthogonality"),
+    "unknown symbol": (
+        "group X\nfield rationals\ndim 1\ngenerator\n x\n",
+        "generator 1: row 'x': unknown symbol 'x'"),
+    "division by zero": (
+        "group X\nfield rationals\ndim 1\ngenerator\n 1/0\n",
+        "generator 1: row '1/0': division by zero"),
+    "unshipped cyclotomic field": (
+        "group X\nfield cyclotomic 7\ndim 1\ngenerator\n -1\n",
+        "field line: cyclotomic field of order 7 is not shipped"),
+    "zero generator": (
+        "group X\nfield rationals\ndim 1\ngenerator\n 0\n",
+        "a generator matrix is not invertible"),
 }
 
 

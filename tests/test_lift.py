@@ -453,8 +453,9 @@ def test_peeled_rows_match_meataxe_oracle(case):
     if families is None:
         families = [m for m, _ in euler_families(G, par)]
     for members in families:
-        vermas = {}
-        fam = decompose_family(G, par, members, vermas)
+        vermas = {lam: verma_module(G, par, G.irreps[lam - 1])
+                  for lam in members}
+        fam = decompose_family(G, par, members)
         ff = draw_specialization(G, par, max(V.dim for V in vermas.values()),
                                  random.Random(0))
         heads = {mu: specialize_module(head_and_radical(vermas[mu]).head, ff)
@@ -489,19 +490,19 @@ def test_dual_spin_character_matches_the_quotient_head(case):
 
 def test_dual_character_builds_class_columns_once(monkeypatch):
     # a freshly loaded group has no cached columns: the first call builds
-    # them from _element_column, a second call on the same irrep reads them
+    # them with _add_tensor, a second call on the same irrep reads them
     G = load_group_file(os.path.join(data_directory(), "B2.grp"))
     par = CherednikParameter(G, G.spec, 0, [1, 2])
     rho = G.irreps[4]
     dual = dual_spin(verma_module(G, par, rho))
     calls = []
-    element_column = modules._element_column
+    add_tensor = modules._add_tensor
 
     def counted(*args):
         calls.append(args)
-        return element_column(*args)
+        return add_tensor(*args)
 
-    monkeypatch.setattr(modules, "_element_column", counted)
+    monkeypatch.setattr(modules, "_add_tensor", counted)
     first = dual_character(G, rho, dual)
     assert calls
     calls.clear()

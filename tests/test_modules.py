@@ -10,6 +10,7 @@ from cherednik.linalg import ExactMatrix
 from cherednik.modules import (
     GradedModule,
     ModuleError,
+    _class_columns,
     check_module_relations,
     graded_character,
     graded_spin,
@@ -19,6 +20,7 @@ from cherednik.modules import (
     x_tables,
 )
 from cherednik.multipoly import MultiPoly
+from cherednik.scalars import Scalar
 
 
 def hyperplane_par(name="G4", form="k1_1-k1_2"):
@@ -188,6 +190,35 @@ def test_verma_cache_does_not_leak_between_calls():
     chars = verma_character(G, rho)
     chars[0][0] = 99
     assert verma_character(G, rho) == verma_character(fresh, fresh.irreps[4])
+
+
+@pytest.mark.parametrize("name,irreps", [("S3", None), ("B2", None),
+                                          ("G4", (4, 7))])
+def test_class_columns_match_the_verma_element_matrices(name, irreps):
+    # the cached columns of each non-identity class representative against
+    # its matrix on verma_module, multiplied out from the generator matrices
+    # along the enumeration words
+    G, par = numeric_par(name)
+    reps = {cls[0]: ci for ci, cls in enumerate(G.conj_classes)
+            if cls[0] != G.identity}
+    for rho in [G.irreps[i - 1] for i in irreps] if irreps else G.irreps:
+        V = verma_module(G, par, rho)
+        gmats = V.mats[G.n:G.n + len(G.gens)]
+        mats = {G.identity: ExactMatrix.identity(V.spec, V.dim)}
+
+        def matrix(idx):
+            if idx not in mats:
+                parent, gi = G.parent_edge[idx]
+                mats[idx] = matrix(parent) * gmats[gi]
+            return mats[idx]
+
+        built = {ci: {} for ci in reps.values()}
+        for p, pairs in enumerate(_class_columns(G, rho, par.ring)):
+            for ci, col in pairs:
+                built[ci].update(((i, p), Scalar(par.ring, v))
+                                 for i, v in col.items())
+        for g, ci in reps.items():
+            assert built[ci] == matrix(g).entries
 
 
 def test_perturbed_module_fails_relations():

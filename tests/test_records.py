@@ -5,8 +5,9 @@ import pytest
 
 from cherednik.algebra import CherednikParameter, euler_families, \
     ggor_from_values, restrict_to_hyperplane
+from cherednik import lift
 from cherednik.groups import load_group
-from cherednik.lift import gordon
+from cherednik.lift import LiftFailure, gordon
 from cherednik.records import GordonRecord
 from cherednik.scalars import QQ
 
@@ -24,8 +25,22 @@ def test_verma_dim_audit_catches_a_changed_entry():
     verma_dims = {1: 6, 2: 6, 3: 12}
     rec.verma_dim_audit(verma_dims)
     rec.verma_decomposition[(3, 3)] = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(LiftFailure):
         rec.verma_dim_audit(verma_dims)
+
+
+def test_gordon_audits_a_head_against_the_verma_dimension(monkeypatch):
+    # a head with one degree too many still has a Poincare series that sums
+    # to its dimension, but no longer fills dim Delta(lam) = |W| dim lam
+    dual_character = lift.dual_character
+
+    def one_degree_more(group, rho, dual):
+        pseries, character = dual_character(group, rho, dual)
+        return {**pseries, max(pseries) + 1: 1}, character
+
+    monkeypatch.setattr(lift, "dual_character", one_degree_more)
+    with pytest.raises(LiftFailure, match="fails the dimension audit"):
+        s3_record()
 
 
 def test_text_round_trip():

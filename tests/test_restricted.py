@@ -5,7 +5,8 @@ import pytest
 
 from cherednik.algebra import CherednikAlgebra, CherednikParameter
 from cherednik.groups import load_group
-from cherednik.modules import _verma_character_rows, _verma_pencil, x_tables
+from cherednik.modules import _coinvariant_operator, \
+    _verma_character_rows, _verma_pencil, x_tables
 from cherednik.multipoly import MultiPoly
 from cherednik.restricted import (
     RestrictedAlgebra,
@@ -110,6 +111,13 @@ def test_bad_primes_g4():
 @pytest.mark.parametrize("compute", [
     pytest.param(bad_primes, id="bad_primes"),
     pytest.param(x_tables, id="x_tables"),
+    pytest.param(lambda G: _coinvariant_operator(G, "g", 1),
+                 id="coinvariant_operator_g"),
+    pytest.param(lambda G: _coinvariant_operator(G, "x", 0),
+                 id="coinvariant_operator_x"),
+    pytest.param(lambda G: _coinvariant_operator(G, "q", G.reflections[0]
+                                                 .element),
+                 id="coinvariant_operator_q"),
     pytest.param(lambda G: _verma_pencil(G, G.irreps[4]), id="verma_pencil"),
     pytest.param(lambda G: _verma_character_rows(G, G.irreps[4]),
                  id="verma_character_rows"),
