@@ -572,11 +572,10 @@ class ReflectionGroup:
         label order, by (1/|G|) sum_C |C| f(C) chi(C^{-1}).  Each value is
         brought down to the group's field first (``descend``), so a trace
         over a parameter ring must be one of its constants; the sums run on
-        the field's payloads against the cached ``_class_weights``, and a
-        sum that is not |G| times an integer raises FieldError
-        (``as_integer``)."""
+        the field's payloads against the cached ``_class_weights``, one
+        ``payload_dot`` per irrep and degree, and a sum that is not |G|
+        times an integer raises FieldError (``as_integer``)."""
         spec = self.spec
-        mul, add = spec.payload_mul, spec.payload_add
         values = {}
         for d, row in class_values.items():
             payloads = [descend(v, spec).payload for v in row]
@@ -586,9 +585,7 @@ class ReflectionGroup:
         for weights in self._class_weights():
             row = {}
             for d, vals in values.items():
-                s = spec.payload_zero()
-                for k, v in vals:
-                    s = add(s, mul(v, weights[k]))
+                s = spec.payload_dot((v, weights[k]) for k, v in vals)
                 m = as_integer(Scalar(spec, s), self.order)
                 if m:
                     row[d] = m

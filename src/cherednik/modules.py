@@ -197,17 +197,6 @@ def _verma_pencil(group: ReflectionGroup, rho: Irrep):
             [scalars(e) for e in gxs])
 
 
-def _add_entry(entries, key, add):
-    """entries[key] += add on a sparse entry dict; a sum that cancels is
-    dropped."""
-    cur = entries.get(key)
-    cur = add if cur is None else cur + add
-    if cur.is_zero():
-        entries.pop(key, None)
-    else:
-        entries[key] = cur
-
-
 def verma_module(group: ReflectionGroup, par: CherednikParameter,
                  rho: Irrep) -> GradedModule:
     """Standard module of the restricted algebra attached to rho.
@@ -216,22 +205,29 @@ def verma_module(group: ReflectionGroup, par: CherednikParameter,
     y's (degree -1), the group generators (0), then the x's (+1).  At t = 0
     the y's are linear in c, so the module is the pencil of
     ``_verma_pencil`` (cached per (group, irrep), built on the first call)
-    evaluated at par: y_i = sum_j c_j Y_i^(j), the g's and x's embedded
-    into par.ring.  Every call returns new matrices; a parameter with
-    t != 0 raises ParameterError."""
+    evaluated at par: each entry of y_i = sum_j c_j Y_i^(j) is summed on
+    par.ring's payloads by one ``payload_dot``, and the g's and x's are
+    embedded into par.ring.  Every call returns new matrices; a parameter
+    with t != 0 raises ParameterError."""
     if not par.t.is_zero():
         raise ParameterError("baby Verma modules live at t = 0")
     degrees, ys, gxs = _verma_pencil(group, rho)
     ring = par.ring
+    dot, is_zero = ring.payload_dot, ring.payload_is_zero
+    cs = [(cj.payload, j) for j, cj in enumerate(par.c) if not cj.is_zero()]
     dim = len(degrees)
     mats = []
     for classes in ys:
+        pairs = {}
+        for cj, j in cs:
+            for key, v in classes[j].items():
+                pairs.setdefault(key, []).append(
+                    (cj, ring.embed(v).payload))
         m = ExactMatrix(ring, dim, dim)
-        for cj, entries in zip(par.c, classes):
-            if cj.is_zero():
-                continue
-            for key, v in entries.items():
-                _add_entry(m.entries, key, cj * ring.embed(v))
+        for key, ps in pairs.items():
+            s = dot(ps)
+            if not is_zero(s):
+                m.entries[key] = Scalar(ring, s)
         mats.append(m)
     for entries in gxs:
         m = ExactMatrix(ring, dim, dim)
@@ -250,26 +246,36 @@ def verma_module(group: ReflectionGroup, par: CherednikParameter,
 
 def graded_spin(module: GradedModule, seeds) -> ExactMatrix:
     """Canonical basis matrix of the smallest graded submodule containing
-    the given homogeneous seed vectors (sparse dicts)."""
+    the given homogeneous seed vectors (sparse dicts).  Each image
+    w_i = sum_j M[i, j] v_j is summed on payload columns by one
+    ``payload_dot`` per coordinate before ``Echelon`` reduces it."""
     for v in seeds:
         degs = {module.degrees[i] for i, c in v.items() if not c.is_zero()}
         if len(degs) > 1:
             raise ModuleError("seed vector is not homogeneous")
-    ech = Echelon(module.spec)
+    spec = module.spec
+    dot = spec.payload_dot
+    ech = Echelon(spec)
     work = []
     for v in seeds:
         r = ech.insert(v)
         if r is not None:
             work.append(dict(r))
-    mcols = [m.columns() for m in module.mats]
+    mcols = []  # per matrix, per column j: the pairs (i, payload of M[i, j])
+    for m in module.mats:
+        cols = [[] for _ in range(module.dim)]
+        for (i, j), x in m.entries.items():
+            cols[j].append((i, x.payload))
+        mcols.append(cols)
     while work:
-        v = work.pop()
+        v = [(j, c.payload) for j, c in work.pop().items()]
         for cols in mcols:
-            w = {}
-            for j, c in v.items():
-                for i, x in cols[j].items():
-                    w[i] = w[i] + x * c if i in w else x * c
-            r = ech.insert(w)
+            pairs = {}
+            for j, c in v:
+                for i, x in cols[j]:
+                    pairs.setdefault(i, []).append((x, c))
+            r = ech.insert({i: Scalar(spec, dot(ps))
+                            for i, ps in pairs.items()})
             if r is not None:
                 work.append(dict(r))
     return ech.matrix(module.dim)
@@ -416,33 +422,30 @@ def dual_character(group: ReflectionGroup, rho: Irrep, dual: ExactMatrix):
     over the pivots p of degree d, of sum_i G[i, p] s_p[i], with G the matrix
     of the class representative g on Delta.  The identity's trace is the
     number of pivots of degree d; the other classes' columns come from
-    ``_class_columns`` (cached per (group, irrep, ring)), and the sums run
-    on the ring's payloads."""
+    ``_class_columns`` (cached per (group, irrep, ring)), and each trace is
+    summed on the ring's payloads by one ``payload_dot``."""
     degrees = _verma_pencil(group, rho)[0]
     ring = dual.spec
-    mul, add = ring.payload_mul, ring.payload_add
     columns = _class_columns(group, rho, ring)
     pseries = {}
-    class_traces = {}
+    pairs = {}  # (degree, class index) -> payload pairs (G[i, p], s_p[i])
     for s in dual.columns():
         p = min(s)
         dgr = degrees[p]
         pseries[dgr] = pseries.get(dgr, 0) + 1
-        traces = class_traces.setdefault(
-            dgr, [ring.payload_zero()] * len(group.conj_classes))
         for ci, col in columns[p]:
-            acc = traces[ci]
-            for i, v in col.items():
-                if i in s:
-                    acc = add(acc, mul(v, s[i].payload))
-            traces[ci] = acc
+            pairs.setdefault((dgr, ci), []).extend(
+                (v, s[i].payload) for i, v in col.items() if i in s)
+    zero = ring.zero()
     identity = group.class_of[group.identity]
-    for dgr, traces in class_traces.items():
-        traces[identity] = ring.scalar(pseries[dgr]).payload
-    return (dict(sorted(pseries.items())),
-            group.multiplicities({dgr: [Scalar(ring, t) for t in traces]
-                                  for dgr, traces
-                                  in sorted(class_traces.items())}))
+    class_traces = {}
+    for dgr in sorted(pseries):
+        traces = [zero] * len(group.conj_classes)
+        traces[identity] = ring.scalar(pseries[dgr])
+        class_traces[dgr] = traces
+    for (dgr, ci), ps in pairs.items():
+        class_traces[dgr][ci] = Scalar(ring, ring.payload_dot(ps))
+    return dict(sorted(pseries.items())), group.multiplicities(class_traces)
 
 
 # ---------------------------------------------------------------------------

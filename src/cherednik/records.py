@@ -17,8 +17,21 @@ def family_text(members) -> str:
     return "{" + ",".join(str(m) for m in members) + "}"
 
 
+class RecordError(ValueError):
+    """A record text that ``GordonRecord.from_text`` cannot read."""
+
+
+def _int(text, line):
+    try:
+        return int(text)
+    except ValueError:
+        raise RecordError(f"not an integer: {text.strip()!r} in record "
+                          f"line {line!r}") from None
+
+
 def parse_family(text):
-    return tuple(int(t) for t in text.strip().strip("{}").split(",") if t)
+    return tuple(_int(t, text) for t in text.strip().strip("{}").split(",")
+                 if t)
 
 
 class GordonRecord:
@@ -96,10 +109,14 @@ class GordonRecord:
 
     @classmethod
     def from_text(cls, text: str) -> "GordonRecord":
+        """Read the text ``to_text`` writes; a text it cannot read raises
+        RecordError."""
         lines = [ln.rstrip() for ln in text.splitlines()
                  if ln.strip() and not ln.strip().startswith("#")]
+        if not lines:
+            raise RecordError("empty record text")
         if lines[0].strip() != "GordonRecord":
-            raise ValueError("not a record file")
+            raise RecordError("not a record file: no GordonRecord header")
         rec = cls(None, None)
         section = None
         for ln in lines[1:]:
@@ -113,7 +130,7 @@ class GordonRecord:
                 elif head == "Hyperplane":
                     rec.hyperplane = rest
                 elif head == "Irreps":
-                    rec.num_irreps = int(rest)
+                    rec.num_irreps = _int(rest, ln)
                 elif head == "CMFamilies":
                     rec.cm_families = [parse_family(t)
                                        for t in rest.split()]
@@ -121,7 +138,7 @@ class GordonRecord:
                               "SimpleGradedGModStruct", "VermaDecomposition"):
                     section = head
                 else:
-                    raise ValueError(f"unknown record field {head!r}")
+                    raise RecordError(f"unknown record field {head!r}")
                 continue
             body = ln.strip()
             if section == "EulerFamilies":
@@ -130,19 +147,23 @@ class GordonRecord:
                                            scalar.strip()))
             elif section == "SimpleDims":
                 i, _, v = body.partition(":")
-                rec.simple_dims[int(i)] = int(v)
+                rec.simple_dims[_int(i, ln)] = _int(v, ln)
             elif section == "SimplePSeries":
                 i, _, v = body.partition(":")
-                rec.simple_pseries[int(i)] = v.strip()
+                rec.simple_pseries[_int(i, ln)] = v.strip()
             elif section == "SimpleGradedGModStruct":
                 i, _, v = body.partition(":")
-                rec.simple_graded[int(i)] = [t.strip()
-                                             for t in v.split(";")]
+                rec.simple_graded[_int(i, ln)] = [t.strip()
+                                                  for t in v.split(";")]
             elif section == "VermaDecomposition":
-                i, j, m = body.split()
-                rec.verma_decomposition[(int(i), int(j))] = int(m)
+                fields = body.split()
+                if len(fields) != 3:
+                    raise RecordError(f"expected 'i j m' in record line "
+                                      f"{ln!r}")
+                i, j, m = (_int(t, ln) for t in fields)
+                rec.verma_decomposition[(i, j)] = m
             else:
-                raise ValueError(f"stray record line {ln!r}")
+                raise RecordError(f"stray record line {ln!r}")
         return rec
 
 

@@ -19,8 +19,9 @@ structural equality is mathematical equality.
 Towers nest at most four deep (e.g. Q -> Q(z3) -> Q(z3)(k)).  All values are
 immutable; all operations are pure functions.
 
-Number-field arithmetic runs on ints alone: products reduce by the
-integral table of x^k mod f, and an inverse is Cramer's rule with
+Number-field arithmetic runs on ints alone: a sum of products
+(``payload_dot``; a product is a sum of one) reduces by the integral table
+of x^k mod f and is normalised once, and an inverse is Cramer's rule with
 fraction-free (Bareiss) determinants.  One dense univariate kernel
 (``_poly_*``) works over the payloads of any spec: the function field uses
 it over Q or Q(z), the irreducibility test and the MeatAxe oracle over
@@ -206,6 +207,18 @@ class FieldSpec:
 
     def payload_eq(self, a, b):
         return a == b
+
+    def payload_dot(self, pairs):
+        """sum of a * b over an iterable of payload pairs (a, b): a left
+        fold from the first product, payload_zero() when there is none."""
+        mul, add = self.payload_mul, self.payload_add
+        pairs = iter(pairs)
+        for a, b in pairs:  # the first pair starts the fold
+            acc = mul(a, b)
+            for a, b in pairs:
+                acc = add(acc, mul(a, b))
+            return acc
+        return self.payload_zero()
 
     # -- Scalar construction ----------------------------------------------
     def zero(self): return Scalar(self, self.payload_zero())
@@ -440,21 +453,40 @@ class NumberField(FieldSpec):
                      da * db)
 
     def payload_mul(self, a, b):
+        return self.payload_dot(((a, b),))
+
+    def payload_dot(self, pairs):
+        """sum of a * b over payload pairs, normalised once: the unreduced
+        products' numerators go into one buffer of degree 2d - 2 over a
+        common denominator (the running lcm of the products'
+        denominators), which is reduced by x^k mod f and cancelled by one
+        gcd at the end."""
         d = self.degree
-        prod = [0] * (2 * d - 1)
-        for i in range(d):
-            x = a[i]
-            if x:
-                for j in range(d):
-                    prod[i + j] += x * b[j]
-        out = prod[:d]
+        rd = range(d)
+        buf = [0] * (2 * d - 1)
+        den = 1
+        for a, b in pairs:
+            e = a[-1] * b[-1]
+            if e != den:
+                up = e // math.gcd(den, e)
+                if up != 1:
+                    buf = [c * up for c in buf]
+                    den *= up
+                if den != e:
+                    a = [x * (den // e) for x in a[:d]]
+            for i in rd:
+                x = a[i]
+                if x:
+                    for j in rd:
+                        buf[i + j] += x * b[j]
+        out = buf[:d]
         for k in range(d, 2 * d - 1):
-            c = prod[k]
+            c = buf[k]
             if c:
                 row = self._red[k - d]
-                for i in range(d):
+                for i in rd:
                     out[i] += c * row[i]
-        return _norm(out, a[-1] * b[-1])
+        return _norm(out, den)
 
     def payload_is_zero(self, a):
         return a == self._zero

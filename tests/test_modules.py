@@ -11,6 +11,7 @@ from cherednik.modules import (
     GradedModule,
     ModuleError,
     _class_columns,
+    _verma_pencil,
     check_module_relations,
     graded_character,
     graded_spin,
@@ -190,6 +191,32 @@ def test_verma_cache_does_not_leak_between_calls():
     chars = verma_character(G, rho)
     chars[0][0] = 99
     assert verma_character(G, rho) == verma_character(fresh, fresh.irreps[4])
+
+
+@pytest.mark.parametrize("case", ["S3_c1", "B2_c12", "B2_hyp", "G4_k13",
+                                  "G4_hyp"])
+def test_verma_y_matrices_are_the_pencil_evaluated(case):
+    # each entry of y_i against sum_j c_j embed(Y_i^(j)) formed by Scalar
+    # arithmetic from the cached pencil
+    if case.endswith("hyp"):
+        G, par = hyperplane_par(case[:2], {"B2": "k1_1-k2_1",
+                                           "G4": "k1_1-2*k1_2"}[case[:2]])
+    elif case == "G4_k13":
+        G = load_group("G4")
+        par = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}) \
+            .to_cherednik()
+    else:
+        G, par = numeric_par(case[:2], [int(c) for c in case[4:]])
+    ring = par.ring
+    for rho in G.irreps:
+        V = verma_module(G, par, rho)
+        for i, classes in enumerate(_verma_pencil(G, rho)[1]):
+            want = {}
+            for cj, pencil in zip(par.c, classes):
+                for key, v in pencil.items():
+                    want[key] = want.get(key, ring.zero()) + cj * ring.embed(v)
+            assert V.mats[i].entries == {key: v for key, v in want.items()
+                                         if not v.is_zero()}
 
 
 @pytest.mark.parametrize("name,irreps", [("S3", None), ("B2", None),

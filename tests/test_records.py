@@ -8,7 +8,7 @@ from cherednik.algebra import CherednikParameter, euler_families, \
 from cherednik import lift
 from cherednik.groups import load_group
 from cherednik.lift import LiftFailure, gordon
-from cherednik.records import GordonRecord
+from cherednik.records import GordonRecord, RecordError
 from cherednik.scalars import QQ
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
@@ -46,6 +46,20 @@ def test_gordon_audits_a_head_against_the_verma_dimension(monkeypatch):
 def test_text_round_trip():
     text = s3_record().to_text()
     assert GordonRecord.from_text(text).to_text() == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty record text"),
+    ("Group: S3\n", "no GordonRecord header"),
+    ("GordonRecord\nFoo: 1\n", "unknown record field 'Foo'"),
+    ("GordonRecord\n  1: 2\n", "stray record line"),
+    ("GordonRecord\nIrreps: three\n", "not an integer: 'three'"),
+    ("GordonRecord\nVermaDecomposition:\n  1 1 x\n", "not an integer: 'x'"),
+], ids=["empty", "no-header", "unknown-field", "stray-line", "count",
+        "multiplicity"])
+def test_malformed_record_text_raises_record_error(text, message):
+    with pytest.raises(RecordError, match=message):
+        GordonRecord.from_text(text)
 
 
 def test_same_seed_same_record():

@@ -356,6 +356,60 @@ def test_number_field_payload_is_canonical(n):
             _coeffs(s)
 
 
+def _dot_case(name, rng):
+    """(spec, draw) for payload_dot's cases: draw() is a random Scalar."""
+    def fraction(dens=(1, 2, 3, 4, 9)):
+        return QQ.scalar(Fraction(rng.randint(-9, 9), rng.choice(dens)))
+
+    if name == "QQ":
+        return QQ, fraction
+    if name in ("z3", "z5"):
+        K = cyclotomic_field(int(name[1]))
+        return K, lambda: _build(K, _random_coeffs(rng, K.degree))
+    if name == "F7":
+        F = PrimeField(7)
+        return F, lambda: F.scalar(rng.randrange(7))
+    z = cyclotomic_field(3).gen()
+    F = RationalFunctionField(QQ if name == "Qk" else z.spec, "k")
+    k = F.var()
+
+    def coeff():  # in Q, or in Q(z3) with small coefficients
+        c = fraction((1, 2))
+        return F.embed(c if name == "Qk" else c + fraction((1, 2)) * z)
+
+    # denominators from a small set, so that sums stay of low degree
+    return F, lambda: (coeff() * k + coeff()) / (k + rng.choice((1, 2)))
+
+
+@pytest.mark.parametrize("name", ["QQ", "z3", "z5", "Qk", "z3k", "F7"])
+def test_payload_dot_is_the_fold_of_products(name):
+    rng = random.Random(1403)
+    spec, draw = _dot_case(name, rng)
+    mul, add, neg = spec.payload_mul, spec.payload_add, spec.payload_neg
+    assert spec.payload_dot([]) == spec.payload_zero()
+    assert spec.payload_dot(iter([])) == spec.payload_zero()
+    mixed_denominators = False
+    for n in (1, 1, 2, 2, 3, 4, 6) * 4:
+        pairs = [(draw().payload, draw().payload) for _ in range(n)]
+        fold = mul(*pairs[0])
+        for a, b in pairs[1:]:
+            fold = add(fold, mul(a, b))
+        got = spec.payload_dot(iter(pairs))
+        assert got == fold
+        cancelled = spec.payload_dot(pairs + [(neg(a), b) for a, b in pairs])
+        assert cancelled == spec.payload_zero()
+        if isinstance(spec, NumberField):  # and against Fractions
+            want = [Fraction(0)] * spec.degree
+            for a, b in pairs:
+                prod = _ref_mul(_coeffs(Scalar(spec, a)),
+                                _coeffs(Scalar(spec, b)),
+                                REFERENCE_MINPOLYS[int(name[1])])
+                want = [x + y for x, y in zip(want, prod)]
+            assert _coeffs(Scalar(spec, got)) == want  # den > 0 and gcd 1
+            mixed_denominators |= len({a[-1] * b[-1] for a, b in pairs}) > 1
+    assert mixed_denominators or not isinstance(spec, NumberField)
+
+
 def test_denominator_of():
     K = cyclotomic_field(3)
     z = K.gen()
