@@ -535,7 +535,15 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
     nonzero, its ring is not a field or ``families`` is not an Euler family,
     and LiftFailure naming the families whose decomposition rows did not
     peel, or when a full record fails ``validate`` or the audit of each
-    row against dim Delta(lam) = |W| dim lam."""
+    row against dim Delta(lam) = |W| dim lam.
+
+    Last, every run audits the PI-degree bound on each CM family that its
+    decomposition entries give: dim L(lam) <= |W|, with equality exactly
+    when the family is {lam}.  Every simple H_{0,c}-module has dim at most
+    |W|, with equality exactly over the smooth points of the Calogero-Moser
+    space (Etingof-Ginzburg 2002, Theorem 1.7), and the smooth points over
+    0 are the singleton CM families (Gordon 2003, section 5).  A family
+    that breaks the bound raises LiftFailure naming it."""
     from .records import GordonRecord, family_text, poly_in_t
     from .algebra import euler_families as _euler_families
 
@@ -588,6 +596,13 @@ def gordon(group: ReflectionGroup, par: CherednikParameter,
         record.validate()
         record.verma_dim_audit({lam: group.order * rho.dim for lam, rho
                                 in enumerate(group.irreps, 1)})
+    for fam in verma_families(record.verma_decomposition):
+        dims = [record.simple_dims[lam] for lam in fam]
+        if max(dims) > group.order \
+                or (group.order in dims) != (len(fam) == 1):
+            raise LiftFailure(f"family {family_text(fam)} fails the "
+                              f"PI-degree audit: simple dims {dims}, "
+                              f"|W| = {group.order}")
     return record
 
 

@@ -58,7 +58,11 @@ class FpModule:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra mod p
+# linear algebra mod p: one incremental echelon, ``_FpEchelon``, is the only
+# elimination.  ``rref_mod`` and ``rcef_mod`` read their unique forms off
+# it, the way ``linalg.ExactMatrix.rref`` and ``rcef`` read theirs off
+# ``linalg.Echelon``; ``nullspace_mod``, ``inverse_mod`` and ``solve_mod``
+# sit on ``rref_mod``, and the spins and ``hom_space`` fill echelons.
 
 def columns(a):
     """The columns of an F_p array as {row: value} dicts of its nonzero
@@ -67,28 +71,63 @@ def columns(a):
             for j in range(a.shape[1])]
 
 
+class _FpEchelon:
+    """Incremental reduced echelon of vectors mod p.  ``cols`` maps each
+    pivot to a stored vector whose topmost nonzero entry is that pivot, a 1
+    there and a 0 at every other pivot: sorted by pivot, the unique reduced
+    echelon basis of the span."""
+
+    __slots__ = ("p", "cols")
+
+    def __init__(self, p):
+        self.p = p
+        self.cols = {}
+
+    def reduce(self, v):
+        """v with every pivot coordinate cleared, or None when v lies in
+        the span.  Each stored vector is 0 at every other pivot, so one
+        subtraction per pivot that v hits is enough."""
+        v = np.asarray(v, dtype=np.int64) % self.p
+        for q, r in self.cols.items():
+            if v[q]:
+                v = (v - v[q] * r) % self.p
+        return v if v.any() else None
+
+    def insert(self, v):
+        """Add v to the span.  Returns the new stored vector, or None when
+        v already lies in the span."""
+        v = self.reduce(v)
+        if v is None:
+            return None
+        piv = int(np.flatnonzero(v)[0])
+        v = (v * pow(int(v[piv]), -1, self.p)) % self.p
+        for q, r in self.cols.items():
+            if r[piv]:
+                self.cols[q] = (r - r[piv] * v) % self.p
+        self.cols[piv] = v
+        return v
+
+    def matrix(self, n):
+        if not self.cols:
+            return np.zeros((n, 0), dtype=np.int64)
+        return np.stack([self.cols[k] for k in sorted(self.cols)], axis=1)
+
+    def rank(self):
+        return len(self.cols)
+
+
 def rref_mod(a, p):
-    a = np.array(a, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
+    """(reduced row echelon form, pivot columns), read off the echelon of
+    the rows; the zero rows come last."""
+    a = np.asarray(a, dtype=np.int64)
+    ech = _FpEchelon(p)
+    for row in a:
+        if ech.rank() == a.shape[1]:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        ech.insert(row)
+    out = np.zeros(a.shape, dtype=np.int64)
+    out[:ech.rank()] = ech.matrix(a.shape[1]).T
+    return out, sorted(ech.cols)
 
 
 def nullspace_mod(a, p):
@@ -108,11 +147,13 @@ def nullspace_mod(a, p):
 
 
 def rcef_mod(a, p):
-    """Unique column form: pivot of each column topmost, pivot rows unit."""
-    r, _ = rref_mod(np.asarray(a).T, p)
-    r = r.T
-    keep = [j for j in range(r.shape[1]) if np.any(r[:, j])]
-    return r[:, keep]
+    """Unique column form, read off the echelon of the columns: pivot of
+    each column topmost, pivot rows unit, no zero column."""
+    a = np.asarray(a, dtype=np.int64)
+    ech = _FpEchelon(p)
+    for col in a.T:
+        ech.insert(col)
+    return ech.matrix(a.shape[0])
 
 
 def inverse_mod(a, p):
@@ -252,66 +293,20 @@ def _plcm(fp, f, g):
 # ---------------------------------------------------------------------------
 # spinning
 
-class _FpEchelon:
-    __slots__ = ("p", "cols")
-
-    def __init__(self, p):
-        self.p = p
-        self.cols = {}
-
-    def reduce(self, v):
-        v = v % self.p
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                return None
-            piv = int(nz[0])
-            r = self.cols.get(piv)
-            if r is None:
-                return v, piv
-            v = (v - v[piv] * r) % self.p
-
-    def insert(self, v):
-        red = self.reduce(v)
-        if red is None:
-            return None
-        v, piv = red
-        v = (v * pow(int(v[piv]), -1, self.p)) % self.p
-        # clear the other pivot rows from the new column (they all lie
-        # strictly below piv, since each column's support starts at its
-        # own pivot)
-        for q in sorted(self.cols):
-            if q > piv and v[q]:
-                v = (v - v[q] * self.cols[q]) % self.p
-        for q, r in self.cols.items():
-            if r[piv]:
-                self.cols[q] = (r - r[piv] * v) % self.p
-        self.cols[piv] = v
-        return v
-
-    def matrix(self, n):
-        if not self.cols:
-            return np.zeros((n, 0), dtype=np.int64)
-        return np.stack([self.cols[k] for k in sorted(self.cols)], axis=1)
-
-    def rank(self):
-        return len(self.cols)
+def _spin_into(ech, module: FpModule, vectors):
+    """Close the echelon's span under the module's generators after adding
+    the vectors: each new vector's images go in until none is new."""
+    work = [ech.insert(v) for v in vectors]
+    while work:
+        v = work.pop()
+        if v is not None:
+            work += [ech.insert((m @ v) % module.p) for m in module.mats]
 
 
 def spin(module: FpModule, vectors) -> np.ndarray:
     """Canonical basis matrix of the submodule generated by the vectors."""
     ech = _FpEchelon(module.p)
-    work = []
-    for v in vectors:
-        r = ech.insert(np.asarray(v, dtype=np.int64))
-        if r is not None:
-            work.append(r)
-    while work:
-        v = work.pop()
-        for m in module.mats:
-            r = ech.insert((m @ v) % module.p)
-            if r is not None:
-                work.append(r)
+    _spin_into(ech, module, vectors)
     return ech.matrix(module.dim)
 
 
@@ -450,16 +445,7 @@ def _generating_seeds(module: FpModule):
         if ech.reduce(v) is None:
             continue
         seeds.append(i)
-        # spin the new seed into the echelon
-        work = [ech.insert(v)]
-        while work:
-            w = work.pop()
-            if w is None:
-                continue
-            for m in module.mats:
-                r = ech.insert((m @ w) % module.p)
-                if r is not None:
-                    work.append(r)
+        _spin_into(ech, module, [v])
     return seeds
 
 

@@ -110,7 +110,9 @@ class GordonRecord:
     @classmethod
     def from_text(cls, text: str) -> "GordonRecord":
         """Read the text ``to_text`` writes; a text it cannot read raises
-        RecordError."""
+        RecordError, as do a Poincare series that does not evaluate at t = 1
+        and a decomposition entry naming a simple missing from
+        SimpleDims."""
         lines = [ln.rstrip() for ln in text.splitlines()
                  if ln.strip() and not ln.strip().startswith("#")]
         if not lines:
@@ -150,6 +152,7 @@ class GordonRecord:
                 rec.simple_dims[_int(i, ln)] = _int(v, ln)
             elif section == "SimplePSeries":
                 i, _, v = body.partition(":")
+                _eval_poly_at_one(v)
                 rec.simple_pseries[_int(i, ln)] = v.strip()
             elif section == "SimpleGradedGModStruct":
                 i, _, v = body.partition(":")
@@ -164,6 +167,11 @@ class GordonRecord:
                 rec.verma_decomposition[(i, j)] = m
             else:
                 raise RecordError(f"stray record line {ln!r}")
+        unknown = sorted({j for _, j in rec.verma_decomposition}
+                         - set(rec.simple_dims))
+        if unknown:
+            raise RecordError(f"VermaDecomposition names simples {unknown} "
+                              "missing from SimpleDims")
         return rec
 
 
@@ -176,7 +184,7 @@ def _eval_poly_at_one(text: str) -> int:
         if "t" in part:
             coeff = part.split("*")[0].strip() if "*" in part else \
                 ("-1" if part.startswith("-t") else "1")
-            total += int(coeff)
+            total += _int(coeff, text)
         else:
-            total += int(part)
+            total += _int(part, text)
     return total

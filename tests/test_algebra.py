@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from cases import CASES, build
 from cherednik.algebra import (
     CherednikAlgebra,
     CherednikParameter,
     ParameterError,
+    commutator_telescope,
     euler_families,
     euler_family_scalar,
     generic_ggor,
@@ -209,6 +211,30 @@ def test_commutator_formula_against_rewrite_oracle(name):
             assert A.commutator_y_xpow(i, mu) == comm
 
 
+@pytest.mark.parametrize("name", ["S3", "C2", "B2", "G4"])
+def test_telescope_is_the_dunkl_divided_difference(name):
+    # alpha_s Q_s(x^mu) = x^mu - s.x^mu for every reflection s and every
+    # 1 <= |mu| <= 6: the Leibniz rule behind x_tables against the
+    # definition of Q_s, with no rewriting.  alpha_s is
+    # (x_j - s.x_j) / scaled_root[j], the same for every such j
+    G = load_group(name)
+    spec, n = G.spec, G.n
+    for s in G.reflections:
+        images = G.variable_images(s.element, "V")
+        alphas = {(MultiPoly(spec, n, {tuple(int(i == j) for i in range(n)):
+                                       spec.one()}) - images[j])
+                  .scale(spec.one() / q)
+                  for j, q in enumerate(s.scaled_root) if not q.is_zero()}
+        assert len(alphas) == 1
+        alpha, = alphas
+        for mu in itertools.product(range(7), repeat=n):
+            if not 1 <= sum(mu) <= 6:
+                continue
+            x_mu = MultiPoly(spec, n, {mu: spec.one()})
+            assert alpha * commutator_telescope(G, s, mu) \
+                == x_mu - x_mu.substitute(images)
+
+
 def test_product_associative():
     A = make_algebra("B2", t=1)
     rng = random.Random(77)
@@ -279,29 +305,11 @@ def test_euler_families_zero_parameter():
     assert fams[0][1].is_zero()
 
 
-def euler_cases():
-    """id -> (group, parameter) for the Euler-form check."""
-    S3, B2, G4 = load_group("S3"), load_group("B2"), load_group("G4")
-    return {
-        "S3_c1": (S3, CherednikParameter(S3, S3.spec, 0, [1])),
-        "S3_c0": (S3, CherednikParameter(S3, S3.spec, 0, [0])),
-        "B2_c12": (B2, CherednikParameter(B2, B2.spec, 0, [1, 2])),
-        "B2_c0": (B2, CherednikParameter(B2, B2.spec, 0, [0, 0])),
-        "B2_hyp": (B2, restrict_to_hyperplane(B2, "k1_1-k2_1")
-                   .to_cherednik()),
-        "G4_k13": (G4, ggor_from_values(G4, G4.spec, {(0, 1): 1, (0, 2): 3})
-                   .to_cherednik()),
-        "G4_hyp": (G4, restrict_to_hyperplane(G4, "k1_1-2*k1_2")
-                   .to_cherednik()),
-    }
-
-
-@pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
-                                  "B2_hyp", "G4_k13", "G4_hyp"])
+@pytest.mark.parametrize("case", list(CASES))
 def test_euler_scalar_is_the_per_reflection_sum(case):
     # the Euler element's eps_s/(eps_s - 1) c(s) s terms acting on the
     # lowest-degree rho, summed reflection by reflection
-    G, par = euler_cases()[case]
+    G, par, _ = build(case)
     ring, K = par.ring, G.spec
     for rho in G.irreps:
         chi = rho.character()

@@ -1,4 +1,3 @@
-import json
 import os
 import random
 import subprocess
@@ -7,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from cases import CASES, build, pinned_text, record_text
 from cherednik import modules
 from cherednik.algebra import CherednikParameter, ParameterError, \
-    euler_families, generic_ggor, ggor_from_values, restrict_to_hyperplane
+    euler_families, generic_ggor
 from cherednik.groups import data_directory, load_group, load_group_file
 from cherednik.lift import (
     NO_SUBMODULE,
@@ -33,8 +33,6 @@ from cherednik.modules import GradedModule, dual_character, \
     graded_character, graded_spin, verma_character, verma_module
 from cherednik.scalars import QQ, PrimeField, RationalFunctionField, \
     evaluate, reduce_mod_prime
-
-DATA = Path(__file__).parent / "data"
 
 
 def test_worked_structure_example():
@@ -90,8 +88,7 @@ def test_specialize_scalar_paths():
 
 
 def test_specialize_module_dims_preserved():
-    G = load_group("B2")
-    par = CherednikParameter(G, QQ, 0, [1, 2])
+    G, par, _ = build("B2_c12")
     V = verma_module(G, par, G.irreps[0])
     ff = FiniteFieldSpec(11, 0, {})
     M = specialize_module(V, ff)
@@ -204,8 +201,7 @@ def test_gordon_s3_generic_point():
     # at c = 1 every simple has dimension |W| = 6, the CM families are
     # singletons, and the reflection representation (3) occurs twice in its
     # own Verma module: dim 12 = 2 * 6
-    G = load_group("S3")
-    rec = gordon(G, CherednikParameter(G, QQ, 0, [1]), seed=0)
+    rec = gordon(*build("S3_c1"))
     assert rec.simple_dims == {1: 6, 2: 6, 3: 6}
     assert rec.verma_decomposition[(3, 3)] == 2
     assert rec.cm_families == [(1,), (2,), (3,)]
@@ -215,8 +211,8 @@ def test_gordon_s3_at_c_zero():
     # at c = 0 the heads are the irreducibles in degree 0, and the Verma
     # module of lam is K[V]_W (x) lam, whose composition factors count
     # [Delta(lam) : L(mu)] = dim lam * dim mu
-    G = load_group("S3")
-    rec = gordon(G, CherednikParameter(G, QQ, 0, [0]), seed=0)
+    G, par, _ = build("S3_c0")
+    rec = gordon(G, par)
     dims = {i + 1: rho.dim for i, rho in enumerate(G.irreps)}
     assert rec.simple_dims == dims == {1: 1, 2: 1, 3: 2}
     for (lam, mu), mult in rec.verma_decomposition.items():
@@ -225,9 +221,7 @@ def test_gordon_s3_at_c_zero():
 
 
 def test_gordon_b2_hyperplane_family():
-    G = load_group("B2")
-    par = restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
-    rec = gordon(G, par, "k1_1-k2_1", seed=0)
+    rec = gordon(*build("B2_hyp"))
     assert (3, 4, 5) in rec.cm_families
     assert [rec.simple_dims[i] for i in (3, 4, 5)] == [1, 1, 6]
 
@@ -240,30 +234,24 @@ def test_gordon_rejects_parameters_outside_a_field():
         gordon(G, generic_ggor(G).to_cherednik())
 
 
-def g4_k13():
-    G = load_group("G4")
-    return G, ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}) \
-        .to_cherednik()
-
-
 def test_gordon_rejects_a_family_that_is_not_an_euler_family():
     # at c = 1 every S3 family is a singleton
-    G = load_group("S3")
+    G, par, _ = build("S3_c1")
     with pytest.raises(ParameterError, match="not an Euler family"):
-        gordon(G, CherednikParameter(G, QQ, 0, [1]), families=(1, 2))
+        gordon(G, par, families=(1, 2))
 
 
-@pytest.mark.parametrize("build", [
+@pytest.mark.parametrize("run", [
     pytest.param(lambda G, par: gordon(G, par), id="gordon"),
     pytest.param(lambda G, par: verma_module(G, par, G.irreps[0]),
                  id="verma_module"),
 ])
-def test_nonzero_t_is_rejected(build):
+def test_nonzero_t_is_rejected(run):
     # the restricted algebra and its baby Verma modules live at t = 0; a
     # record built at t = 1 would be the t = 0 one under the wrong name
     G = load_group("S3")
     with pytest.raises(ParameterError, match="t = 0"):
-        build(G, CherednikParameter(G, QQ, 1, [1]))
+        run(G, CherednikParameter(G, QQ, 1, [1]))
 
 
 @pytest.mark.parametrize("group,other", [("S3", "B2"), ("B2", "G4"),
@@ -291,83 +279,36 @@ def test_prime_field_parameters_are_rejected_for_a_group_over_q(p):
         CherednikParameter(G, PrimeField(p), 0, [1])
 
 
-@pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
-                                  "B2_hyp", "G4_k13", "G4_hyp"])
+@pytest.mark.parametrize("case", list(CASES))
 def test_full_gordon_record_is_pinned(case):
     # every family at once: the full decomposition matrix, the CM families
     # and the Euler values, over Q(z3)(k) on G4_hyp
-    if case == "G4_hyp":
-        G, hyperplane = load_group("G4"), "k1_1-2*k1_2"
-        par = restrict_to_hyperplane(G, hyperplane).to_cherednik()
-    else:
-        G, par, _ = oracle_cases()[case]
-        hyperplane = "k1_1-k2_1" if case == "B2_hyp" else ""
-    want = (DATA / f"{case}.txt").read_text()
-    assert gordon(G, par, hyperplane).to_text() == want
+    assert record_text(case) == pinned_text(case)
 
 
-WITHOUT_NUMPY = """
-import json, sys
+CASES_WITHOUT_NUMPY = """
+import runpy, sys
 sys.modules["numpy"] = None     # any import of numpy now fails
-import cherednik
-from cherednik import algebra, groups, lift
-S3, G4 = groups.load_group("S3"), groups.load_group("G4")
-records = [
-    lift.gordon(S3, algebra.CherednikParameter(S3, S3.spec, 0, [1]),
-                families=(1,)).to_text(),
-    lift.gordon(G4, algebra.ggor_from_values(
-        G4, G4.spec, {(0, 1): 1, (0, 2): 3}).to_cherednik(),
-                families=(4,)).to_text(),
-]
-print(json.dumps({"meataxe": "cherednik.meataxe" in sys.modules,
-                  "records": records}))
+runpy.run_path(sys.argv[1], run_name="__main__")
 """
 
 
 def test_gordon_runs_without_numpy():
-    # only the F_p oracle needs numpy and the MeatAxe
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    got = json.loads(out)
-    assert not got["meataxe"]
-    S3, (G4, par) = load_group("S3"), g4_k13()
-    assert got["records"] == [
-        gordon(S3, CherednikParameter(S3, QQ, 0, [1]), families=(1,))
-        .to_text(),
-        gordon(G4, par, families=(4,)).to_text()]
-
-
-LIFT_WITHOUT_NUMPY = """
-import random, sys
-sys.modules["numpy"] = None     # any import of numpy now fails
-from cherednik import algebra, groups, lift, modules
-G = groups.load_group("B2")
-par = algebra.restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
-V = modules.verma_module(G, par, G.irreps[2])
-ff = lift.draw_specialization(G, par, V.dim, random.Random(0))
-rad = lift.head_and_radical(V).radical_basis
-found = lift.find_submodule(V, lift.abstract_structure(rad))
-assert "cherednik.meataxe" not in sys.modules
-assert rad.ncols == 7 and found == rad, (ff, rad.ncols)
-"""
-
-
-def test_lift_round_trip_runs_without_numpy():
-    # the draw, the shape of the exact radical of a Verma module with a
-    # radical (dim 8, head of dim 1 on B2's equal-parameter hyperplane)
-    # and the search that lifts the shape back need no numpy
-    src = Path(__file__).resolve().parents[1] / "src"
-    subprocess.run([sys.executable, "-c", LIFT_WITHOUT_NUMPY], check=True,
-                   env={**os.environ, "PYTHONPATH": str(src)})
+    # only the F_p oracle needs numpy and the MeatAxe: every pinned record
+    # and the lift round trip of tests/cases.py run with numpy blocked
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", CASES_WITHOUT_NUMPY,
+         str(root / "tests" / "cases.py")], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert run.returncode == 0, run.stderr
 
 
 def test_find_submodule_fails_where_the_radical_collides_mod_p():
     # the radical of the Verma module of irrep 7 at k = (1,3) has 20 distinct
     # values; mod 157 two of them coincide, so its shape there has no lift,
     # while mod 241 the lift is the exact radical, of codimension |W| = 24
-    G, par = g4_k13()
+    G, par, _ = build("G4_k13")
     V = verma_module(G, par, G.irreps[6])
 
     def lifted(p, root):
@@ -384,8 +325,7 @@ def test_find_submodule_rejects_a_candidate_that_is_not_invariant():
     # at k = 17 the parameter vanishes mod 17: the y's fix every value of
     # the radical's shape there, but the candidate they give is not a
     # submodule, and the failure is a typed one
-    G = load_group("B2")
-    par = restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
+    G, par, _ = build("B2_hyp")
     V = verma_module(G, par, G.irreps[1])
     ff = FiniteFieldSpec(17, 0, {"k": G.spec.scalar(17)})
     struct = abstract_structure(radical(specialize_module(V, ff)))
@@ -395,8 +335,7 @@ def test_find_submodule_rejects_a_candidate_that_is_not_invariant():
 def test_draws_keep_every_nonzero_parameter_value_nonzero_mod_p():
     # a value that vanishes mod p would make the draw a specialization of
     # another parameter (B2 on k1_1-k2_1 at p = 17, k = 17, say)
-    G = load_group("B2")
-    par = restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
+    G, par, _ = build("B2_hyp")
     for seed in range(300):
         ff = draw_specialization(G, par, 8, random.Random(seed))
         for v in par.c:
@@ -405,22 +344,10 @@ def test_draws_keep_every_nonzero_parameter_value_nonzero_mod_p():
                 assert not reduce_mod_prime(value, ff.p, ff.root).is_zero()
 
 
-def oracle_cases():
-    """id -> (group, parameter, families) for the cross-checks against the
-    paper's lift, the MeatAxe and the quotient heads; families None means
-    every Euler family."""
-    S3, B2, G4 = load_group("S3"), load_group("B2"), load_group("G4")
-    return {
-        "S3_c1": (S3, CherednikParameter(S3, QQ, 0, [1]), None),
-        "S3_c0": (S3, CherednikParameter(S3, QQ, 0, [0]), None),
-        "B2_c12": (B2, CherednikParameter(B2, QQ, 0, [1, 2]), None),
-        "B2_c0": (B2, CherednikParameter(B2, QQ, 0, [0, 0]), None),
-        "B2_hyp": (B2, restrict_to_hyperplane(B2, "k1_1-k2_1").to_cherednik(),
-                   [(3, 4, 5)]),
-        "G4_k13": (*g4_k13(), [(4,), (7,)]),
-        "G4_hyp": (G4, restrict_to_hyperplane(G4, "k1_1-2*k1_2")
-                   .to_cherednik(), [(2, 5, 7)]),
-    }
+# the families each cross-check runs against the paper's lift, the MeatAxe
+# and the quotient heads; a case not named here runs every Euler family
+ORACLE_FAMILIES = {"B2_hyp": [(3, 4, 5)], "G4_k13": [(4,), (7,)],
+                   "G4_hyp": [(2, 5, 7)]}
 
 
 @pytest.mark.parametrize("case", ["S3_c1", "B2_c12", "B2_hyp", "G4_k13"])
@@ -428,7 +355,7 @@ def test_las_vegas_lift_matches_exact_radical(case):
     # the paper's algorithm: reduce mod a drawn prime, take the radical
     # there, and lift its shape back; a draw whose shape does not lift is
     # thrown away.  The lift must equal the exact dual-spin radical.
-    G, par, _ = oracle_cases()[case]
+    G, par, _ = build(case)
     for rho in G.irreps:
         V = verma_module(G, par, rho)
         rng = random.Random(0)
@@ -449,9 +376,9 @@ def test_peeled_rows_match_meataxe_oracle(case):
     # chopping it and matching every factor with the specialized heads, which
     # stay simple there (zero radical); the count must equal the row peeled
     # from graded characters
-    G, par, families = oracle_cases()[case]
-    if families is None:
-        families = [m for m, _ in euler_families(G, par)]
+    G, par, _ = build(case)
+    families = ORACLE_FAMILIES.get(case) \
+        or [m for m, _ in euler_families(G, par)]
     for members in families:
         vermas = {lam: verma_module(G, par, G.irreps[lam - 1])
                   for lam in members}
@@ -478,7 +405,7 @@ def test_dual_spin_character_matches_the_quotient_head(case):
     # the trace formula on the dual spin against the head formed as the
     # quotient module by the exact radical, with its traces taken from
     # products of its g-blocks
-    G, par, _ = oracle_cases()[case]
+    G, par, _ = build(case)
     for rho in G.irreps:
         V = verma_module(G, par, rho)
         head = head_and_radical(V).head
@@ -515,7 +442,7 @@ def test_dual_character_builds_class_columns_once(monkeypatch):
 def test_dual_spin_over_the_ys_is_the_full_spin(case):
     # dual_spin spins the degree-0 functionals under the transposed y's
     # alone; the spin under every transposed generator is the oracle
-    G, par, _ = oracle_cases()[case]
+    G, par, _ = build(case)
     for rho in G.irreps:
         V = verma_module(G, par, rho)
         seeds = [{i: V.spec.one()} for i, d in enumerate(V.degrees) if d == 0]

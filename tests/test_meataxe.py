@@ -3,9 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cherednik.algebra import CherednikParameter, ggor_from_values, \
-    restrict_to_hyperplane
-from cherednik.groups import load_group
+from cases import build
 from cherednik.lift import draw_specialization, specialize_module
 from cherednik.meataxe import (
     FpModule,
@@ -246,11 +244,8 @@ def fp_vermas(G, par, seed=0):
 
 
 def small_parameters():
-    S3, B2 = load_group("S3"), load_group("B2")
-    yield S3, CherednikParameter(S3, S3.spec, 0, [1])
-    yield B2, CherednikParameter(B2, B2.spec, 0, [1, 2])
-    yield B2, CherednikParameter(B2, B2.spec, 0, [0, 0])
-    yield B2, restrict_to_hyperplane(B2, "k1_1-k2_1").to_cherednik()
+    for case in ("S3_c1", "B2_c12", "B2_c0", "B2_hyp"):
+        yield build(case)[:2]
 
 
 def test_verma_radical_matches_oracle():
@@ -262,8 +257,7 @@ def test_verma_radical_matches_oracle():
 
 def test_g4_verma_heads_have_dimension_24():
     # G4 at k = (1,3) is a smooth point: every simple has dim |W| = 24
-    G = load_group("G4")
-    par = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}).to_cherednik()
+    G, par, _ = build("G4_k13")
     for M in fp_vermas(G, par):
         assert M.dim - radical(M).shape[1] == 24
 

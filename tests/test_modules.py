@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from cherednik.algebra import CherednikParameter, \
-    generic_ggor, ggor_from_values, restrict_to_hyperplane
+from cases import build
+from cherednik.algebra import CherednikParameter, generic_ggor, \
+    restrict_to_hyperplane
 from cherednik.groups import data_directory, load_group, load_group_file
 from cherednik.linalg import ExactMatrix
 from cherednik.modules import (
@@ -24,10 +25,13 @@ from cherednik.multipoly import MultiPoly
 from cherednik.scalars import Scalar
 
 
-def hyperplane_par(name="G4", form="k1_1-k1_2"):
-    G = load_group(name)
-    k = restrict_to_hyperplane(G, form)
-    return G, k.to_cherednik()
+# a pinned point of each group with every c value nonzero
+POINT = {"S3": "S3_c1", "B2": "B2_c12", "G4": "G4_k13"}
+
+
+def hyperplane_par():
+    G = load_group("G4")
+    return G, restrict_to_hyperplane(G, "k1_1-k1_2").to_cherednik()
 
 
 def generic_par(name):
@@ -35,14 +39,6 @@ def generic_par(name):
     k = generic_ggor(G, rational=(sum(o.e - 1 for o in
                                       G.hyperplane_orbits) == 1))
     return G, k.to_cherednik()
-
-
-def numeric_par(name, values=None):
-    G = load_group(name)
-    vals = values or list(range(1, G.num_reflection_classes + 1))
-    from cherednik.scalars import QQ
-    return G, CherednikParameter(G, QQ if G.spec.kind == "rationals"
-                                 else G.spec, 0, vals)
 
 
 def test_x_table_zero_row_for_constant():
@@ -136,10 +132,7 @@ def test_verma_satisfies_relations():
 def test_every_verma_satisfies_relations(name, where):
     # every irrep, so the d x d blocks of the 2-dimensional irreps enter the
     # y-matrices, both at a point and at the generic point of a hyperplane
-    if where == "point":
-        G, par = numeric_par(name)
-    else:
-        G, par = hyperplane_par(name, where)
+    G, par, _ = build(POINT[name] if where == "point" else "B2_hyp")
     assert any(rho.dim > 1 for rho in G.irreps)
     for rho in G.irreps:
         V = verma_module(G, par, rho)
@@ -155,8 +148,7 @@ def test_g4_verma_relations():
 
 
 def test_g4_two_dimensional_verma_relations():
-    G = load_group("G4")
-    par = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}).to_cherednik()
+    G, par, _ = build("G4_k13")
     rho = G.irrep_by_label("phi_{2,3}")
     assert rho.dim == 2
     V = verma_module(G, par, rho)
@@ -165,9 +157,8 @@ def test_g4_two_dimensional_verma_relations():
 
 
 def test_verma_cache_does_not_leak_between_calls():
-    G = load_group("B2")
+    G, par_a, _ = build("B2_c12")
     rho = G.irreps[4]  # the 2-dimensional irrep
-    par_a = CherednikParameter(G, G.spec, 0, [1, 2])
     par_b = CherednikParameter(G, G.spec, 0, [3, -1])
     first = verma_module(G, par_a, rho)
     kept = (list(first.degrees), [dict(m.entries) for m in first.mats])
@@ -198,15 +189,7 @@ def test_verma_cache_does_not_leak_between_calls():
 def test_verma_y_matrices_are_the_pencil_evaluated(case):
     # each entry of y_i against sum_j c_j embed(Y_i^(j)) formed by Scalar
     # arithmetic from the cached pencil
-    if case.endswith("hyp"):
-        G, par = hyperplane_par(case[:2], {"B2": "k1_1-k2_1",
-                                           "G4": "k1_1-2*k1_2"}[case[:2]])
-    elif case == "G4_k13":
-        G = load_group("G4")
-        par = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}) \
-            .to_cherednik()
-    else:
-        G, par = numeric_par(case[:2], [int(c) for c in case[4:]])
+    G, par, _ = build(case)
     ring = par.ring
     for rho in G.irreps:
         V = verma_module(G, par, rho)
@@ -225,7 +208,7 @@ def test_class_columns_match_the_verma_element_matrices(name, irreps):
     # the cached columns of each non-identity class representative against
     # its matrix on verma_module, multiplied out from the generator matrices
     # along the enumeration words
-    G, par = numeric_par(name)
+    G, par, _ = build(POINT[name])
     reps = {cls[0]: ci for ci, cls in enumerate(G.conj_classes)
             if cls[0] != G.identity}
     for rho in [G.irreps[i - 1] for i in irreps] if irreps else G.irreps:
@@ -260,7 +243,7 @@ def test_perturbed_module_fails_relations():
 
 
 def test_verma_generated_in_lowest_degree():
-    G, par = numeric_par("B2")
+    G, par, _ = build("B2_c12")
     V = verma_module(G, par, G.irreps[4])  # the 2-dimensional irrep
     seeds = [{i: V.spec.one()} for i, d in enumerate(V.degrees) if d == 0]
     span = graded_spin(V, seeds)
@@ -270,7 +253,7 @@ def test_verma_generated_in_lowest_degree():
 def test_graded_spin_matches_matrix_closure():
     # oracle: close the seed's span under whole-matrix products until the
     # canonical basis stops growing
-    G, par = numeric_par("B2")
+    G, par, _ = build("B2_c12")
     V = verma_module(G, par, G.irreps[4])
     rng = random.Random(5)
     for degree in (1, 2, 3):
@@ -291,13 +274,13 @@ def test_graded_spin_matches_matrix_closure():
 
 
 def test_graded_spin_zero_seed():
-    G, par = numeric_par("B2")
+    G, par, _ = build("B2_c12")
     V = verma_module(G, par, G.irreps[0])
     assert graded_spin(V, [{}]).ncols == 0
 
 
 def test_graded_spin_rejects_inhomogeneous():
-    G, par = numeric_par("B2")
+    G, par, _ = build("B2_c12")
     V = verma_module(G, par, G.irreps[0])
     i0 = V.degrees.index(0)
     i1 = V.degrees.index(1)
@@ -306,7 +289,7 @@ def test_graded_spin_rejects_inhomogeneous():
 
 
 def test_quotient_trivial_cases():
-    G, par = numeric_par("B2")
+    G, par, _ = build("B2_c12")
     V = verma_module(G, par, G.irreps[0])
     q0 = quotient_module(V, ExactMatrix(V.spec, V.dim, 0))
     assert q0.module.dim == V.dim
@@ -341,14 +324,9 @@ def test_graded_character_poincare_consistency():
 @pytest.mark.parametrize("name", ["S3", "B2", "G4"])
 def test_verma_character_closed_form(name):
     # the closed form against the traces of the assembled Verma module, at
-    # c = 0 and at a nonzero point
-    G = load_group(name)
+    # c = 0 and at a pinned nonzero point
+    G, point, _ = build(POINT[name])
     zero = CherednikParameter(G, G.spec, 0, [0] * G.num_reflection_classes)
-    if name == "G4":
-        point = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3}) \
-            .to_cherednik()
-    else:
-        point = CherednikParameter(G, G.spec, 0, [1, 2][:len(zero.c)])
     for par in (zero, point):
         for rho in G.irreps:
             assert verma_character(G, rho) \

@@ -3,20 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from cherednik.algebra import CherednikParameter, euler_families, \
-    ggor_from_values, restrict_to_hyperplane
+from cases import build
+from cherednik.algebra import euler_families
 from cherednik import lift
-from cherednik.groups import load_group
 from cherednik.lift import LiftFailure, gordon
 from cherednik.records import GordonRecord, RecordError
-from cherednik.scalars import QQ
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 
 
 def s3_record(seed=0):
-    G = load_group("S3")
-    return gordon(G, CherednikParameter(G, QQ, 0, [1]), seed=seed)
+    return gordon(*build("S3_c1"), seed=seed)
 
 
 def test_verma_dim_audit_catches_a_changed_entry():
@@ -29,9 +26,10 @@ def test_verma_dim_audit_catches_a_changed_entry():
         rec.verma_dim_audit(verma_dims)
 
 
-def test_gordon_audits_a_head_against_the_verma_dimension(monkeypatch):
-    # a head with one degree too many still has a Poincare series that sums
-    # to its dimension, but no longer fills dim Delta(lam) = |W| dim lam
+@pytest.fixture
+def heads_one_degree_larger(monkeypatch):
+    # each head gains one degree: its Poincare series still sums to its
+    # dimension, which is now one more than the true head's
     dual_character = lift.dual_character
 
     def one_degree_more(group, rho, dual):
@@ -39,8 +37,21 @@ def test_gordon_audits_a_head_against_the_verma_dimension(monkeypatch):
         return {**pseries, max(pseries) + 1: 1}, character
 
     monkeypatch.setattr(lift, "dual_character", one_degree_more)
+
+
+def test_gordon_audits_a_head_against_the_verma_dimension(
+        heads_one_degree_larger):
+    # the heads no longer fill dim Delta(lam) = |W| dim lam
     with pytest.raises(LiftFailure, match="fails the dimension audit"):
         s3_record()
+
+
+def test_gordon_audits_the_pi_degree_bound(heads_one_degree_larger):
+    # one family of S3 at c = 1 runs no row audit; its head of dim
+    # 7 > |W| = 6 is caught by the PI-degree audit alone
+    with pytest.raises(LiftFailure, match=r"family \{1\} fails the "
+                                          "PI-degree audit"):
+        gordon(*build("S3_c1"), families=(1,))
 
 
 def test_text_round_trip():
@@ -55,8 +66,12 @@ def test_text_round_trip():
     ("GordonRecord\n  1: 2\n", "stray record line"),
     ("GordonRecord\nIrreps: three\n", "not an integer: 'three'"),
     ("GordonRecord\nVermaDecomposition:\n  1 1 x\n", "not an integer: 'x'"),
+    ("GordonRecord\nSimpleDims:\n  1: 3\nSimplePSeries:\n  1: 1 + q\n",
+     "not an integer: 'q'"),
+    ("GordonRecord\nSimpleDims:\n  1: 6\nVermaDecomposition:\n  1 1 1\n"
+     "  1 2 1\n", r"names simples \[2\] missing from SimpleDims"),
 ], ids=["empty", "no-header", "unknown-field", "stray-line", "count",
-        "multiplicity"])
+        "multiplicity", "series", "unknown-simple"])
 def test_malformed_record_text_raises_record_error(text, message):
     with pytest.raises(RecordError, match=message):
         GordonRecord.from_text(text)
@@ -71,29 +86,14 @@ def test_record_does_not_depend_on_seed():
     assert s3_record(0).to_text() == s3_record(5).to_text()
 
 
-def pinned_case(case):
-    """(group, parameter, hyperplane text, families or None for all) of a
-    case of the benchmark's pinned records."""
-    if case == "G4_k13":
-        G = load_group("G4")
-        par = ggor_from_values(G, G.spec, {(0, 1): 1, (0, 2): 3})
-        return G, par.to_cherednik(), "", [(1,), (4,)]
-    if case == "B2_hyp":
-        G = load_group("B2")
-        par = restrict_to_hyperplane(G, "k1_1-k2_1").to_cherednik()
-        return G, par, "k1_1-k2_1", None
-    name, c = {"S3_c1": ("S3", [1]), "S3_c0": ("S3", [0]),
-               "B2_c12": ("B2", [1, 2]), "B2_c0": ("B2", [0, 0])}[case]
-    G = load_group(name)
-    return G, CherednikParameter(G, G.spec, 0, c), "", None
-
-
 @pytest.mark.parametrize("case", ["S3_c1", "S3_c0", "B2_c12", "B2_c0",
                                   "B2_hyp", "G4_k13"])
 def test_family_records_match_pinned(case):
     with open(PINNED) as f:
         pinned = json.load(f)[case]
-    G, par, hyperplane, families = pinned_case(case)
+    G, par, hyperplane = build(case)
+    # G4_k13 runs two of its seven singleton families
+    families = {"G4_k13": [(1,), (4,)]}.get(case)
     if families is None:
         families = [m for m, _ in euler_families(G, par)]
         assert {",".join(map(str, m)) for m in families} == set(pinned)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik.algebra import CherednikAlgebra, CherednikParameter, \
-    restrict_to_hyperplane
+from cases import build
+from cherednik.algebra import CherednikAlgebra, CherednikParameter
 from cherednik.groups import load_group
 from cherednik.scalars import (
     QQ,
@@ -441,9 +441,7 @@ def test_scalar_hash_consistency():
 
 
 def _pbw_on_b2_hyperplane():
-    G = load_group("B2")
-    A = CherednikAlgebra(G, restrict_to_hyperplane(G, "k1_1-k2_1")
-                         .to_cherednik())
+    A = CherednikAlgebra(*build("B2_hyp")[:2])
     return A.y(0) * A.x(0) * A.x(1)
 
 
