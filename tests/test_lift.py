@@ -304,6 +304,27 @@ def test_gordon_runs_without_numpy():
     assert run.returncode == 0, run.stderr
 
 
+LIFT_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None     # any import of numpy now fails
+import cases
+assert cases.lift_round_trip() == []
+assert "cherednik.meataxe" not in sys.modules
+"""
+
+
+def test_lift_round_trip_runs_without_numpy():
+    # the draw, the shape of the exact radical of a Verma module with a
+    # radical (dim 8, head of dim 1 on B2's equal-parameter hyperplane)
+    # and the search that lifts the shape back need no numpy
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", LIFT_WITHOUT_NUMPY], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), str(root / "tests")])})
+    assert run.returncode == 0, run.stderr
+
+
 def test_find_submodule_fails_where_the_radical_collides_mod_p():
     # the radical of the Verma module of irrep 7 at k = (1,3) has 20 distinct
     # values; mod 157 two of them coincide, so its shape there has no lift,
