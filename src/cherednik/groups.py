@@ -12,7 +12,7 @@ from fractions import Fraction
 from .linalg import ExactMatrix
 from .multipoly import MultiPoly, buchberger, normal_form, standard_monomials
 from .scalars import QQ, FieldError, Scalar, _poly_divmod, _poly_mul, \
-    as_integer, cyclotomic_field, descend, parse_scalar
+    cyclotomic_field, descend, parse_scalar, payload_as_integer
 
 
 class GroupDataError(Exception):
@@ -27,21 +27,11 @@ MAX_GROUP_ORDER = 20000
 # -- small dense matrix helpers on tuples of tuples of Scalars --------------
 
 def mat_mul(spec, a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    zero = spec.zero()
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = zero
-            for t in range(k):
-                if not a[i][t].is_zero() and not b[t][j].is_zero():
-                    s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    """a * b, each entry summed on payloads by one ``payload_dot``."""
+    dot = spec.payload_dot
+    cols = [[x.payload for x in col] for col in zip(*b)]
+    return tuple(tuple(Scalar(spec, dot(zip(prow, col))) for col in cols)
+                 for prow in ([x.payload for x in row] for row in a))
 
 
 def mat_identity(spec, n):
@@ -574,7 +564,7 @@ class ReflectionGroup:
         over a parameter ring must be one of its constants; the sums run on
         the field's payloads against the cached ``_class_weights``, one
         ``payload_dot`` per irrep and degree, and a sum that is not |G|
-        times an integer raises FieldError (``as_integer``)."""
+        times an integer raises FieldError (``payload_as_integer``)."""
         spec = self.spec
         values = {}
         for d, row in class_values.items():
@@ -586,7 +576,7 @@ class ReflectionGroup:
             row = {}
             for d, vals in values.items():
                 s = spec.payload_dot((v, weights[k]) for k, v in vals)
-                m = as_integer(Scalar(spec, s), self.order)
+                m = payload_as_integer(spec, s, self.order)
                 if m:
                     row[d] = m
             out.append(row)

@@ -7,12 +7,19 @@ is the transpose of the reduced row echelon form of the transpose, and each
 subspace has exactly one basis matrix of this shape.
 
 ``Echelon`` is the one exact elimination: it keeps that canonical basis of
-a span as sparse vectors, each with a 1 at its pivot (its topmost support)
-and a 0 at every other pivot.  By that invariant ``Echelon.reduce`` clears
-a vector's pivot coordinates with one subtraction per pivot it hits.
-``rref`` and ``rank`` insert a matrix's rows, ``rcef`` its columns, and
-``nullspace`` and ``solve`` read their answers off the row echelon; the
-module spins and quotients of ``modules`` use it directly.
+a span as sparse vectors of payloads of its spec, each with a 1 at its
+pivot (its topmost support) and a 0 at every other pivot.  By that
+invariant ``Echelon.reduce`` clears a vector's pivot coordinates with one
+subtraction per pivot it hits, and a subtraction forms each entry
+v_i - a w_i by one fused ``payload_dot``, so a number field normalises it
+once; a new pivot costs one ``payload_inv``.
+
+``ExactMatrix`` holds ``Scalar`` entries and converts at the edge: ``rref``
+and ``rank`` insert a matrix's rows as payloads, ``rcef`` its columns, and
+``nullspace`` and ``solve`` read their answers off the row echelon and
+hand back scalars.  The module spins, invariance checks and quotients of
+``modules`` use ``Echelon`` directly, converting vectors of scalars with
+``to_payloads``.
 """
 
 from __future__ import annotations
@@ -163,15 +170,19 @@ class ExactMatrix:
         return out
 
     # -- echelon forms -------------------------------------------------------
+    def _column_echelon(self):
+        return Echelon(self.spec, map(to_payloads, self.columns()))
+
     def _row_echelon(self):
-        return Echelon(self.spec, self.transpose().columns())
+        return self.transpose()._column_echelon()
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
         ech = self._row_echelon()
         pivots = sorted(ech.vecs)
         out = ExactMatrix(self.spec, self.nrows, self.ncols)
-        out.entries = {(i, j): v for i, p in enumerate(pivots)
+        out.entries = {(i, j): Scalar(self.spec, v)
+                       for i, p in enumerate(pivots)
                        for j, v in ech.vecs[p].items()}
         return out, pivots
 
@@ -180,21 +191,19 @@ class ExactMatrix:
 
     def rcef(self):
         """The unique reduced column echelon form (pivot rows topmost)."""
-        cols = Echelon(self.spec, self.columns()).columns()
-        return ExactMatrix.from_columns(
-            self.spec, self.nrows, cols + [{}] * (self.ncols - len(cols)))
+        return self._column_echelon().matrix(self.nrows, self.ncols)
 
     def nullspace(self):
         """rcef basis of the right kernel {v : M v = 0}."""
         ech = self._row_echelon()
-        one = self.spec.one()
-        cols = []
+        neg, one = self.spec.payload_neg, self.spec.payload_one()
+        kernel = Echelon(self.spec)
         for f in range(self.ncols):
             if f not in ech.vecs:
-                col = {p: -r[f] for p, r in ech.vecs.items() if f in r}
+                col = {p: neg(r[f]) for p, r in ech.vecs.items() if f in r}
                 col[f] = one
-                cols.append(col)
-        return ExactMatrix.from_columns(self.spec, self.ncols, cols).rcef()
+                kernel.insert(col)
+        return kernel.matrix(self.ncols)
 
     def solve(self, rhs):
         """Full affine solution set of M x = rhs.
@@ -213,30 +222,41 @@ class ExactMatrix:
         ech = aug._row_echelon()
         if self.ncols in ech.vecs:
             return None
-        particular = {p: r[self.ncols] for p, r in sorted(ech.vecs.items())
-                      if self.ncols in r}
+        particular = {p: Scalar(self.spec, r[self.ncols])
+                      for p, r in sorted(ech.vecs.items()) if self.ncols in r}
         return particular, self.nullspace()
 
 
-def _sub_scaled(v, w, c):
-    """v -= c*w in place on sparse dicts; a sum that cancels is dropped."""
+def to_payloads(v):
+    """A sparse vector of scalars as one of their payloads."""
+    return {i: c.payload for i, c in v.items()}
+
+
+def _sub_scaled(spec, v, w, a):
+    """v -= a*w in place on payload dicts, each entry by one fused
+    payload_dot of (1, v_i) and (-a, w_i); a sum that cancels is
+    dropped."""
+    dot, mul, is_zero = spec.payload_dot, spec.payload_mul, \
+        spec.payload_is_zero
+    one, neg = spec.payload_one(), spec.payload_neg(a)
     for i, x in w.items():
-        s = v.get(i)
-        s = -c * x if s is None else s - c * x
-        if s.is_zero():
+        c = v.get(i)
+        c = mul(neg, x) if c is None else dot(((one, c), (neg, x)))
+        if is_zero(c):
             v.pop(i, None)
         else:
-            v[i] = s
+            v[i] = c
 
 
 class Echelon:
     """Incremental reduced echelon of sparse vectors (dicts index ->
-    Scalar), the package's one exact elimination.
+    payload of ``spec``), the package's one exact elimination.
 
     ``vecs`` maps each pivot p to a stored vector whose topmost support is
     p, with a 1 there and a 0 at every other pivot.  Sorted by pivot, the
     stored vectors are the unique canonical basis of their span: as rows,
-    its reduced row echelon form; as columns, its rcef."""
+    its reduced row echelon form; as columns, its rcef.  Vectors go in and
+    come out as payloads; ``matrix`` hands the basis back as scalars."""
 
     def __init__(self, spec, vectors=()):
         self.spec = spec
@@ -248,24 +268,27 @@ class Echelon:
         """v with every pivot coordinate cleared, as a new sparse dict.
         Subtracting a stored vector changes no other pivot coordinate, so
         one subtraction per pivot that v hits is enough, in any order."""
-        v = {i: c for i, c in v.items() if not c.is_zero()}
+        is_zero = self.spec.payload_is_zero
+        v = {i: c for i, c in v.items() if not is_zero(c)}
         for p in [p for p in v if p in self.vecs]:
-            _sub_scaled(v, self.vecs[p], v[p])
+            _sub_scaled(self.spec, v, self.vecs[p], v[p])
         return v
 
     def insert(self, v):
         """Add v to the span.  Returns the new stored vector (later inserts
-        may change it in place), or None when v is already in the span."""
+        may change it in place), or None when v is already in the span.
+        A new pivot costs one payload_inv."""
+        spec = self.spec
         v = self.reduce(v)
         if not v:
             return None
         p = min(v)
-        if not (v[p] == 1):
-            inv = self.spec.one() / v[p]
-            v = {i: c * inv for i, c in v.items()}
+        if not spec.payload_eq(v[p], spec.payload_one()):
+            inv, mul = spec.payload_inv(v[p]), spec.payload_mul
+            v = {i: mul(c, inv) for i, c in v.items()}
         for r in self.vecs.values():
             if p in r:
-                _sub_scaled(r, v, r[p])
+                _sub_scaled(spec, r, v, r[p])
         self.vecs[p] = v
         return v
 
@@ -275,9 +298,15 @@ class Echelon:
     def columns(self):
         return [self.vecs[p] for p in sorted(self.vecs)]
 
-    def matrix(self, nrows):
-        """The canonical basis as the columns of a matrix."""
-        return ExactMatrix.from_columns(self.spec, nrows, self.columns())
+    def matrix(self, nrows, ncols=None):
+        """The canonical basis as the leading columns of an nrows x ncols
+        matrix of scalars, by default one column per basis vector."""
+        m = ExactMatrix(self.spec, nrows,
+                        len(self.vecs) if ncols is None else ncols)
+        m.entries = {(i, j): Scalar(self.spec, c)
+                     for j, v in enumerate(self.columns())
+                     for i, c in v.items()}
+        return m
 
     def rank(self):
         return len(self.vecs)

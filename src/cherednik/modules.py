@@ -21,11 +21,16 @@ At t = 0 the y's act linearly in c, so a Verma module is a pencil: one
 matrix Y_i^(j) = sum_{s in j} coroot_s[i] Q_s (x) rho(s) per coordinate i
 and reflection class j, with y_i = sum_j c_j Y_i^(j), g-matrices
 A_g (x) rho(g) and x-matrices X_i (x) 1 that do not depend on c at all.
-The pencil and the closed-form graded character of each irrep are built
-on first use and kept by ``functools.cache`` on ``_verma_pencil`` and
-``_verma_character_rows``, keyed by (group, irrep); ``verma_module``
-evaluates the pencil at a parameter and returns new matrices on every
-call.
+The pencil, as payloads over the group's field, and the closed-form
+graded character of each irrep are built on first use and kept by
+``functools.cache`` on ``_verma_pencil`` and ``_verma_character_rows``,
+keyed by (group, irrep).  ``_ring_pencil`` embeds the pencil into a
+parameter ring once per (group, irrep, ring); ``verma_module`` evaluates
+it at a parameter, one ``payload_dot`` over the c's per entry of a y, and
+returns new matrices on every call.  Nothing is cached per parameter.
+
+``graded_spin`` runs on payloads: images are summed into payload vectors
+and handed to ``linalg.Echelon`` as they are.
 
 Graded characters come from class traces per degree, which
 ``ReflectionGroup.multiplicities`` decomposes into irreducibles over the
@@ -46,7 +51,7 @@ import functools
 from .algebra import CherednikParameter, ParameterError, \
     commutator_telescope
 from .groups import Irrep, ReflectionGroup
-from .linalg import Echelon, ExactMatrix
+from .linalg import Echelon, ExactMatrix, to_payloads
 from .scalars import Scalar
 
 
@@ -168,11 +173,11 @@ def _add_tensor(entries, spec, op, mat):
 @functools.cache
 def _verma_pencil(group: ReflectionGroup, rho: Irrep):
     """Everything about rho's Verma module that does not depend on c, as
-    sparse entry dicts over the group's field: (basis degrees, ys, gxs).
-    ys[i][j] is the matrix Y_i^(j) = sum over the reflections s of class j
-    of coroot_s[i] Q_s (x) rho(s), with y_i = sum_j c_j Y_i^(j); gxs holds
-    the g-matrices A_g (x) rho(g), then the x-matrices X_i (x) 1.  Built
-    once per (group, irrep)."""
+    sparse entry dicts of payloads over the group's field: (basis degrees,
+    ys, gxs).  ys[i][j] is the matrix Y_i^(j) = sum over the reflections s
+    of class j of coroot_s[i] Q_s (x) rho(s), with y_i = sum_j c_j Y_i^(j);
+    gxs holds the g-matrices A_g (x) rho(g), then the x-matrices X_i (x) 1.
+    Built once per (group, irrep)."""
     co = group.coinvariant_algebra("V")
     spec = group.spec
     degrees = [dgr for dgr in co.degrees for _ in range(rho.dim)]
@@ -190,11 +195,30 @@ def _verma_pencil(group: ReflectionGroup, rho: Irrep):
     gxs += [_add_tensor({}, spec, _coinvariant_operator(group, "x", i),
                         rho.matrix(group.identity)) for i in range(group.n)]
 
-    def scalars(entries):
-        return {key: Scalar(spec, v) for key, v in entries.items()
+    def nonzero(entries):
+        return {key: v for key, v in entries.items()
                 if not spec.payload_is_zero(v)}
-    return (degrees, [[scalars(e) for e in row] for row in ys],
-            [scalars(e) for e in gxs])
+    return (degrees, [[nonzero(e) for e in row] for row in ys],
+            [nonzero(e) for e in gxs])
+
+
+@functools.cache
+def _ring_pencil(group: ReflectionGroup, rho: Irrep, ring):
+    """rho's pencil embedded into ``ring`` once per (group, irrep, ring):
+    (yterms, gxs), where yterms[i] maps each entry of y_i to its pairs
+    (class j, payload of Y_i^(j) there in ring), and gxs holds the entry
+    dicts of the g- and x-matrices as scalars of ring."""
+    _, ys, gxs = _verma_pencil(group, rho)
+    embed = ring.embedding(group.spec)
+    yterms = []
+    for classes in ys:
+        terms = {}
+        for j, entries in enumerate(classes):
+            for key, v in entries.items():
+                terms.setdefault(key, []).append((j, embed(v)))
+        yterms.append(terms)
+    return yterms, [{key: Scalar(ring, embed(v)) for key, v in e.items()}
+                    for e in gxs]
 
 
 def verma_module(group: ReflectionGroup, par: CherednikParameter,
@@ -204,34 +228,33 @@ def verma_module(group: ReflectionGroup, par: CherednikParameter,
     Basis x^mu (x) w_k ordered by (degree, monomial, k); generators are the
     y's (degree -1), the group generators (0), then the x's (+1).  At t = 0
     the y's are linear in c, so the module is the pencil of
-    ``_verma_pencil`` (cached per (group, irrep), built on the first call)
-    evaluated at par: each entry of y_i = sum_j c_j Y_i^(j) is summed on
-    par.ring's payloads by one ``payload_dot``, and the g's and x's are
-    embedded into par.ring.  Every call returns new matrices; a parameter
-    with t != 0 raises ParameterError."""
+    ``_verma_pencil`` (cached per (group, irrep)), embedded into par.ring
+    by ``_ring_pencil`` (cached per (group, irrep, ring)) and evaluated at
+    par: each entry of y_i = sum_j c_j Y_i^(j) is one ``payload_dot`` over
+    the nonzero c_j, and the g's and x's are copies of the embedded
+    entries.  Every call returns new matrices; a parameter with t != 0
+    raises ParameterError."""
     if not par.t.is_zero():
         raise ParameterError("baby Verma modules live at t = 0")
-    degrees, ys, gxs = _verma_pencil(group, rho)
+    degrees = _verma_pencil(group, rho)[0]
     ring = par.ring
+    yterms, gxs = _ring_pencil(group, rho, ring)
     dot, is_zero = ring.payload_dot, ring.payload_is_zero
-    cs = [(cj.payload, j) for j, cj in enumerate(par.c) if not cj.is_zero()]
+    cs = [None if cj.is_zero() else cj.payload for cj in par.c]
     dim = len(degrees)
     mats = []
-    for classes in ys:
-        pairs = {}
-        for cj, j in cs:
-            for key, v in classes[j].items():
-                pairs.setdefault(key, []).append(
-                    (cj, ring.embed(v).payload))
+    for terms in yterms:
         m = ExactMatrix(ring, dim, dim)
-        for key, ps in pairs.items():
-            s = dot(ps)
-            if not is_zero(s):
-                m.entries[key] = Scalar(ring, s)
+        for key, ts in terms.items():
+            pairs = [(cs[j], v) for j, v in ts if cs[j] is not None]
+            if pairs:
+                s = dot(pairs)
+                if not is_zero(s):
+                    m.entries[key] = Scalar(ring, s)
         mats.append(m)
     for entries in gxs:
         m = ExactMatrix(ring, dim, dim)
-        m.entries = {key: ring.embed(v) for key, v in entries.items()}
+        m.entries = dict(entries)
         mats.append(m)
     n = group.n
     gen_names = [f"y{i+1}" for i in range(n)] \
@@ -246,19 +269,19 @@ def verma_module(group: ReflectionGroup, par: CherednikParameter,
 
 def graded_spin(module: GradedModule, seeds) -> ExactMatrix:
     """Canonical basis matrix of the smallest graded submodule containing
-    the given homogeneous seed vectors (sparse dicts).  Each image
-    w_i = sum_j M[i, j] v_j is summed on payload columns by one
-    ``payload_dot`` per coordinate before ``Echelon`` reduces it."""
+    the given homogeneous seed vectors (sparse dicts of scalars).  The
+    spin runs on payloads: each image w_i = sum_j M[i, j] v_j is summed
+    into a payload dict by one ``payload_dot`` per coordinate and handed
+    to ``Echelon`` as it is; only the basis matrix is made of scalars."""
     for v in seeds:
         degs = {module.degrees[i] for i, c in v.items() if not c.is_zero()}
         if len(degs) > 1:
             raise ModuleError("seed vector is not homogeneous")
-    spec = module.spec
-    dot = spec.payload_dot
-    ech = Echelon(spec)
+    dot = module.spec.payload_dot
+    ech = Echelon(module.spec)
     work = []
     for v in seeds:
-        r = ech.insert(v)
+        r = ech.insert(to_payloads(v))
         if r is not None:
             work.append(dict(r))
     mcols = []  # per matrix, per column j: the pairs (i, payload of M[i, j])
@@ -268,22 +291,21 @@ def graded_spin(module: GradedModule, seeds) -> ExactMatrix:
             cols[j].append((i, x.payload))
         mcols.append(cols)
     while work:
-        v = [(j, c.payload) for j, c in work.pop().items()]
+        v = work.pop().items()
         for cols in mcols:
             pairs = {}
             for j, c in v:
                 for i, x in cols[j]:
                     pairs.setdefault(i, []).append((x, c))
-            r = ech.insert({i: Scalar(spec, dot(ps))
-                            for i, ps in pairs.items()})
+            r = ech.insert({i: dot(ps) for i, ps in pairs.items()})
             if r is not None:
                 work.append(dict(r))
     return ech.matrix(module.dim)
 
 
 def is_invariant_subspace(module: GradedModule, basis: ExactMatrix) -> bool:
-    ech = Echelon(module.spec, basis.columns())
-    return all(ech.contains(c) for m in module.mats
+    ech = Echelon(module.spec, map(to_payloads, basis.columns()))
+    return all(ech.contains(to_payloads(c)) for m in module.mats
                for c in (m * basis).columns())
 
 
@@ -296,11 +318,14 @@ class Quotient:
         self.module = module
         self.kept_rows = kept_rows
         self._pos = {r: i for i, r in enumerate(kept_rows)}
-        self._sub = Echelon(sub_basis.spec, sub_basis.columns())
+        self._sub = Echelon(sub_basis.spec,
+                            map(to_payloads, sub_basis.columns()))
 
     def project(self, v):
         """Coordinates of the image of a vector of the big module."""
-        return {self._pos[i]: c for i, c in self._sub.reduce(v).items()}
+        spec = self._sub.spec
+        return {self._pos[i]: Scalar(spec, c)
+                for i, c in self._sub.reduce(to_payloads(v)).items()}
 
 
 def quotient_module(module: GradedModule, sub: ExactMatrix) -> Quotient:
@@ -395,6 +420,7 @@ def _class_columns(group: ReflectionGroup, rho: Irrep, ring):
     ``ring``}) over the non-identity conjugacy classes with a nonzero
     column, in class order.  Built once per (group, irrep, ring)."""
     spec = group.spec
+    embed = ring.embedding(spec)
     out = [[] for _ in _verma_pencil(group, rho)[0]]
     for ci, cls in enumerate(group.conj_classes):
         g = cls[0]
@@ -403,7 +429,7 @@ def _class_columns(group: ReflectionGroup, rho: Irrep, ring):
         op = _coinvariant_operator(group, "g", g)
         cols = {}
         for (i, p), v in _add_tensor({}, spec, op, rho.matrix(g)).items():
-            cols.setdefault(p, {})[i] = ring.embed(Scalar(spec, v)).payload
+            cols.setdefault(p, {})[i] = embed(v)
         for p, col in cols.items():
             out[p].append((ci, col))
     return out
@@ -423,19 +449,20 @@ def dual_character(group: ReflectionGroup, rho: Irrep, dual: ExactMatrix):
     of the class representative g on Delta.  The identity's trace is the
     number of pivots of degree d; the other classes' columns come from
     ``_class_columns`` (cached per (group, irrep, ring)), and each trace is
-    summed on the ring's payloads by one ``payload_dot``."""
+    summed on the ring's payloads, against the payloads of ``dual``'s
+    columns, by one ``payload_dot``."""
     degrees = _verma_pencil(group, rho)[0]
     ring = dual.spec
     columns = _class_columns(group, rho, ring)
     pseries = {}
     pairs = {}  # (degree, class index) -> payload pairs (G[i, p], s_p[i])
-    for s in dual.columns():
+    for s in map(to_payloads, dual.columns()):
         p = min(s)
         dgr = degrees[p]
         pseries[dgr] = pseries.get(dgr, 0) + 1
         for ci, col in columns[p]:
             pairs.setdefault((dgr, ci), []).extend(
-                (v, s[i].payload) for i, v in col.items() if i in s)
+                (v, s[i]) for i, v in col.items() if i in s)
     zero = ring.zero()
     identity = group.class_of[group.identity]
     class_traces = {}

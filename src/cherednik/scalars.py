@@ -29,13 +29,14 @@ it over Q or Q(z), the irreducibility test and the MeatAxe oracle over
 Every printed sum of terms goes through ``format_terms``.
 
 Outside this module a payload is only handed to a spec's ``payload_*``
-methods or to the ``_poly_*`` kernel.  The operations that read a
-payload's layout or a spec's kind are all here: ``reduce_mod_prime`` and
-``minpoly_roots_mod_p`` (to F_p), ``denominator_of`` and ``as_integer``
-(integrality), ``descend`` (a constant down to a lower level),
-``evaluate`` and ``parameter_names`` (a tower's free parameters set to a
-point), ``coefficients`` (a polynomial's terms), ``is_negative`` (a sign)
-and ``parse_scalar`` (the text syntax).
+methods, to the map of its ``embedding`` or to the ``_poly_*`` kernel.
+The operations that read a payload's layout or a spec's kind are all
+here: ``reduce_mod_prime`` and ``minpoly_roots_mod_p`` (to F_p),
+``denominator_of`` and ``payload_as_integer`` (integrality), ``descend``
+(a constant down to a lower level), ``evaluate`` and ``parameter_names``
+(a tower's free parameters set to a point), ``coefficients`` (a
+polynomial's terms), ``is_negative`` (a sign) and ``parse_scalar`` (the
+text syntax).
 """
 
 from __future__ import annotations
@@ -236,21 +237,20 @@ class FieldSpec:
         """Lift a scalar from a spec occurring in this tower (or Q)."""
         if s.spec == self:
             return s
-        payload = self._embed_payload(s.spec, s.payload)
-        if payload is None:
-            raise FieldError(f"no embedding of {s.spec} into {self}")
-        return Scalar(self, payload)
+        return Scalar(self, self.embedding(s.spec)(s.payload))
 
-    def _embed_payload(self, spec, payload):
-        if spec == self:
-            return payload
+    def embedding(self, spec):
+        """The map that lifts payloads of ``spec``, Q or a level of this
+        tower, to payloads of this spec, with the path down the tower found
+        once; raises FieldError when there is none."""
         if spec.kind == "rationals":
-            return self.payload_from_fraction(payload)
-        if self.base is not None:
-            inner = self.base._embed_payload(spec, payload)
-            if inner is not None:
-                return self._lift_const(inner)
-        return None
+            return self.payload_from_fraction
+        if spec == self:
+            return lambda payload: payload
+        if self.base is None:
+            raise FieldError(f"no embedding of {spec} into {self}")
+        inner, lift = self.base.embedding(spec), self._lift_const
+        return lambda payload: lift(inner(payload))
 
     def _lift_const(self, base_payload):
         raise FieldError(f"{self} has no base to lift from")
@@ -982,13 +982,21 @@ def denominator_of(a: Scalar) -> int:
     raise FieldError(f"no integral structure for {spec.kind} scalars")
 
 
-def as_integer(s: Scalar, divisor: int) -> int:
-    """Exact value of s / divisor as an int, for a rational constant s of
-    any tower over Q (``descend`` to Q)."""
-    q = descend(s, QQ).payload / divisor
-    if q.denominator != 1:
-        raise FieldError(f"{s!r} / {divisor} is not an integer")
-    return int(q)
+def payload_as_integer(spec: FieldSpec, payload, divisor: int) -> int:
+    """Exact value of payload / divisor as an int, for a payload of Q or
+    of a number field that is a rational integer times divisor; any other
+    value raises FieldError."""
+    if spec.kind == "number-field" and not any(payload[1:-1]):
+        num, den = payload[0], payload[-1]
+    elif spec.kind == "rationals":
+        num, den = payload.numerator, payload.denominator
+    else:
+        raise FieldError(f"{spec.payload_str(payload)} is not rational")
+    q, r = divmod(num, den * divisor)
+    if r:
+        raise FieldError(f"{spec.payload_str(payload)} / {divisor} is not "
+                         "an integer")
+    return q
 
 
 def descend(s: Scalar, spec: FieldSpec) -> Scalar:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cherednik.linalg import ExactMatrix
-from cherednik.scalars import QQ, RationalFunctionField
+from cherednik.scalars import QQ, RationalFunctionField, cyclotomic_field
 
 
 def rand_matrix(spec, rng, n, m, density=0.7):
@@ -74,8 +76,8 @@ def test_nullspace():
 
 
 def gauss_jordan(rows):
-    """Reference reduced row echelon form of a list of Fraction rows:
-    (rows, pivot columns)."""
+    """Reference reduced row echelon form of a list of rows of scalars, by
+    Scalar arithmetic: (rows, pivot columns)."""
     rows = [list(r) for r in rows]
     pivots = []
     for col in range(len(rows[0])):
@@ -100,16 +102,35 @@ def rank_deficient(rng, n, m, rank, scalar):
              for j in range(m)] for i in range(n)]
 
 
-def test_rref_matches_reference_gauss_jordan():
+@pytest.mark.parametrize("field", ["QQ", "z3"])
+def test_rref_matches_reference_gauss_jordan(field):
+    # over Q(z3) each column of a rank-deficient integer matrix is scaled
+    # by its own unit a + b*z3, a and b with denominators in {1, 2, 3}, so
+    # the pivots' inverses and the fused clears see both coordinates
     rng = random.Random(11)
+    spec = QQ if field == "QQ" else cyclotomic_field(3)
+
+    def small():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        rows = rank_deficient(rng, n, m, rng.randint(0, min(n, m)),
-                              lambda v: Fraction(v, rng.choice([1, 2, 3])))
+        rank = rng.randint(0, min(n, m))
+        if field == "QQ":
+            rows = rank_deficient(rng, n, m, rank,
+                                  lambda v: spec.scalar(
+                                      Fraction(v, rng.choice([1, 2, 3]))))
+        else:
+            units = [spec.zero()] * m
+            for j in range(m):
+                while units[j].is_zero():
+                    units[j] = spec.scalar(small()) + spec.gen() * small()
+            rows = [[v * u for v, u in zip(row, units)]
+                    for row in rank_deficient(rng, n, m, rank, spec.scalar)]
         want, want_pivots = gauss_jordan(rows)
-        got, pivots = ExactMatrix.from_rows(QQ, rows).rref()
+        got, pivots = ExactMatrix.from_rows(spec, rows).rref()
         assert pivots == want_pivots
-        assert got == ExactMatrix.from_rows(QQ, want)
+        assert got == ExactMatrix.from_rows(spec, want)
 
 
 def test_nullspace_over_function_field():

@@ -156,10 +156,14 @@ def test_g4_two_dimensional_verma_relations():
     assert ok, why
 
 
-def test_verma_cache_does_not_leak_between_calls():
-    G, par_a, _ = build("B2_c12")
+@pytest.mark.parametrize("case", ["B2_c12", "B2_hyp"])
+def test_verma_cache_does_not_leak_between_calls(case):
+    # B2_hyp runs over Q(k), so the pencil embedded per ring is cached for
+    # a ring other than the group's field
+    G, par_a, _ = build(case)
+    ring = par_a.ring
     rho = G.irreps[4]  # the 2-dimensional irrep
-    par_b = CherednikParameter(G, G.spec, 0, [3, -1])
+    par_b = CherednikParameter(G, ring, 0, [3, -1])
     first = verma_module(G, par_a, rho)
     kept = (list(first.degrees), [dict(m.entries) for m in first.mats])
     one = G.spec.one()
@@ -174,8 +178,7 @@ def test_verma_cache_does_not_leak_between_calls():
     # a group loaded afresh has an empty cache
     fresh = load_group_file(os.path.join(data_directory(), "B2.grp"))
     assert fresh is not G
-    built = verma_module(fresh, CherednikParameter(fresh, fresh.spec, 0,
-                                                   [3, -1]),
+    built = verma_module(fresh, CherednikParameter(fresh, ring, 0, [3, -1]),
                          fresh.irreps[4])
     assert built.degrees == at_b.degrees
     assert [m.entries for m in built.mats] == [m.entries for m in at_b.mats]
@@ -188,7 +191,7 @@ def test_verma_cache_does_not_leak_between_calls():
                                   "G4_hyp"])
 def test_verma_y_matrices_are_the_pencil_evaluated(case):
     # each entry of y_i against sum_j c_j embed(Y_i^(j)) formed by Scalar
-    # arithmetic from the cached pencil
+    # arithmetic from the cached pencil's payloads
     G, par, _ = build(case)
     ring = par.ring
     for rho in G.irreps:
@@ -197,7 +200,8 @@ def test_verma_y_matrices_are_the_pencil_evaluated(case):
             want = {}
             for cj, pencil in zip(par.c, classes):
                 for key, v in pencil.items():
-                    want[key] = want.get(key, ring.zero()) + cj * ring.embed(v)
+                    want[key] = want.get(key, ring.zero()) \
+                        + cj * ring.embed(Scalar(G.spec, v))
             assert V.mats[i].entries == {key: v for key, v in want.items()
                                          if not v.is_zero()}
 

@@ -6,7 +6,7 @@ import pytest
 from cherednik.algebra import CherednikAlgebra, CherednikParameter
 from cherednik.groups import load_group
 from cherednik.modules import _coinvariant_operator, \
-    _verma_character_rows, _verma_pencil, x_tables
+    _ring_pencil, _verma_character_rows, _verma_pencil, x_tables
 from cherednik.multipoly import MultiPoly
 from cherednik.restricted import (
     RestrictedAlgebra,
@@ -119,6 +119,8 @@ def test_bad_primes_g4():
                                                  .element),
                  id="coinvariant_operator_q"),
     pytest.param(lambda G: _verma_pencil(G, G.irreps[4]), id="verma_pencil"),
+    pytest.param(lambda G: _ring_pencil(G, G.irreps[4], G.spec),
+                 id="ring_pencil"),
     pytest.param(lambda G: _verma_character_rows(G, G.irreps[4]),
                  id="verma_character_rows"),
     pytest.param(lambda G: G.coinvariant_algebra("V"),

@@ -16,11 +16,11 @@ from cherednik.scalars import (
     RationalFunctionField,
     Scalar,
     _fp_poly_is_irreducible,
-    as_integer,
     cyclotomic_field,
     denominator_of,
     minpoly_roots_mod_p,
     parse_scalar,
+    payload_as_integer,
     reduce_mod_prime,
 )
 
@@ -95,6 +95,39 @@ def test_nested_tower():
     k = F.var()
     s = (z * k + 1) / (k - z)
     assert s * (k - z) == z * k + 1
+
+
+def test_embedding_lifts_payloads_down_the_tower():
+    # the payload map of each lower level agrees with Scalar.embed, and a
+    # spec outside the tower has none
+    K = cyclotomic_field(3)
+    F = RationalFunctionField(K, "k")
+    R = PolyRing(F, ["x"])
+    z = K.gen()
+    samples = {QQ: [QQ.scalar(Fraction(-3, 4)), QQ.zero()],
+               K: [z / 3 - 2, K.zero(), K.one()],
+               F: [(F.embed(z) * F.var() + 1) / (F.var() - 2), F.zero()]}
+    for top in (K, F, R):
+        for low, values in samples.items():
+            if low is top or (low is F and top is K):
+                continue
+            lift = top.embedding(low)
+            for v in values:
+                assert Scalar(top, lift(v.payload)) == top.embed(v)
+    for top, low in ((K, F), (F, cyclotomic_field(5)), (QQ, K)):
+        with pytest.raises(FieldError):
+            top.embedding(low)
+
+
+def test_payload_as_integer_over_q():
+    assert payload_as_integer(QQ, Fraction(12), 4) == 3
+    assert payload_as_integer(QQ, Fraction(-12), 4) == -3
+    for q, divisor in ((Fraction(6), 4), (Fraction(1, 2), 1)):
+        with pytest.raises(FieldError):
+            payload_as_integer(QQ, q, divisor)
+    F = RationalFunctionField(QQ, "k")
+    with pytest.raises(FieldError):
+        payload_as_integer(F, F.one().payload, 1)
 
 
 def _monic_polys(degree, p):
@@ -317,15 +350,15 @@ def test_number_field_arithmetic_against_fraction_reference(n):
                 assert reduce_mod_prime(a, p, root).payload == want
         if any(ca[1:]):
             with pytest.raises(FieldError):
-                as_integer(a, 1)
+                payload_as_integer(K, a.payload, 1)
         else:
             for divisor in (1, 2, 3, 5):
                 q = ca[0] / divisor
                 if q.denominator == 1:
-                    assert as_integer(a, divisor) == q
+                    assert payload_as_integer(K, a.payload, divisor) == q
                 else:
                     with pytest.raises(FieldError):
-                        as_integer(a, divisor)
+                        payload_as_integer(K, a.payload, divisor)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
